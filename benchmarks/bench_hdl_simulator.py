@@ -21,10 +21,10 @@ import time
 from pathlib import Path
 
 from repro.codegen import render_checker_core, render_driver
+from repro.core.caches import caches
 from repro.core.checker_runtime import run_checker
-from repro.core.simulation import (clear_simulation_caches,
-                                   clear_template_caches, run_driver,
-                                   run_driver_batch, run_mutant_sweep)
+from repro.core.simulation import (run_driver, run_driver_batch,
+                                   run_mutant_sweep)
 from repro.hdl.compile import clear_program_cache
 from repro.core.validator import ScenarioValidator
 from repro.hdl import current_context, parse_source, simulate, use_context
@@ -119,7 +119,8 @@ def test_run_driver_batch_mutants(benchmark):
 
     # jobs=1 pinned: this measures the warm in-process batch path, not
     # pool fan-out, regardless of any REPRO_JOBS in the environment.
-    runs = benchmark(run_driver_batch, driver, mutants, jobs=1)
+    runs = benchmark(run_driver_batch, driver, mutants,
+                     context=current_context().evolve(jobs=1))
     assert len(runs) == 10
 
 
@@ -131,8 +132,9 @@ def test_mutant_sweep_lockstep(benchmark):
     mutants = [m.source for m in generate_mutants(
         golden, 20, task.task_id)]
 
-    sweep = benchmark(run_mutant_sweep, driver, mutants,
-                      golden_src=golden, mutant_engine="lockstep")
+    sweep = benchmark(
+        run_mutant_sweep, driver, mutants, golden_src=golden,
+        context=current_context().evolve(mutant_engine="lockstep"))
     assert sweep.engine == "lockstep", sweep.fallback_reason
     assert len(sweep.runs) == 20
 
@@ -242,7 +244,7 @@ def bench_validator_matrix(seconds: float, task_id: str = "seq_count8_en",
     with use_context(engine="interpret"):
 
         def seed_style():
-            clear_simulation_caches()
+            caches.clear()
             validator._sim_cache.clear()
             report = validator.validate(tb)
             assert report.matrix is not None
@@ -250,7 +252,7 @@ def bench_validator_matrix(seconds: float, task_id: str = "seq_count8_en",
 
     # Batched path, compiled engine.
     with use_context(engine="compiled"):
-        clear_simulation_caches()
+        caches.clear()
         validator._sim_cache.clear()
         t0 = time.perf_counter()
         validator.validate(tb)
@@ -283,11 +285,13 @@ def bench_batch_vs_serial(seconds: float,
         for mutant in mutants:
             run_driver(driver, mutant)
 
+    # jobs=1 pinned: the comparison is batch dedup/template reuse vs a
+    # plain loop, so pool fan-out (context jobs / REPRO_JOBS) must not
+    # leak into the measurement.
+    in_process = current_context().evolve(jobs=1)
+
     def batched():
-        # jobs=1 pinned: the comparison is batch dedup/template reuse
-        # vs a plain loop, so pool fan-out (context jobs / REPRO_JOBS)
-        # must not leak into the measurement.
-        run_driver_batch(driver, mutants, jobs=1)
+        run_driver_batch(driver, mutants, context=in_process)
 
     # Warm the caches once so both paths measure steady state.
     batched()
@@ -321,21 +325,21 @@ def bench_driver_reuse(seconds: float, task_id: str = "seq_count8_en",
 
     def cold_pairs():
         # Fresh templates AND fresh programs for every pairing.
-        clear_simulation_caches()
+        caches.clear()
         for dut in variants:
             clear_program_cache()
             run_driver(driver, dut)
 
     def shared_pairs():
         # Fresh templates, warm shared programs: pure bind cost.
-        clear_template_caches()
+        caches.clear("design", "pair", "failure", "union")
         for dut in variants:
             run_driver(driver, dut)
 
     out = {}
     out["pair_cold_ms"] = (_time_repeated(cold_pairs, seconds)
                            * 1000 / n_variants)
-    clear_simulation_caches()
+    caches.clear()
     shared_pairs()  # warm the program cache once
     out["pair_shared_ms"] = (_time_repeated(shared_pairs, seconds)
                              * 1000 / n_variants)
@@ -376,9 +380,12 @@ def bench_mutant_sweep(seconds: float, task_id: str = "seq_count8_en",
     mutants = [m.source for m in generate_mutants(
         golden, n_mutants, task.task_id)]
 
+    contexts = {engine: current_context().evolve(mutant_engine=engine)
+                for engine in ("lockstep", "per-mutant")}
+
     def sweep(engine):
         result = run_mutant_sweep(driver, mutants, golden_src=golden,
-                                  mutant_engine=engine)
+                                  context=contexts[engine])
         assert result.engine == engine, result.fallback_reason
         assert result.golden.ok
 
@@ -396,7 +403,7 @@ def bench_mutant_sweep(seconds: float, task_id: str = "seq_count8_en",
                                / out["lockstep_steady_ms"])
 
     def fresh(engine):
-        clear_template_caches()
+        caches.clear("design", "pair", "failure", "union")
         sweep(engine)
 
     out["lockstep_fresh_ms"] = _time_repeated(
@@ -442,7 +449,8 @@ def bench_pool_warm_start(seconds: float, task_id: str = "seq_count8_en",
         task.golden_rtl(), n_variants, task.task_id)]
 
     # Warm the parent once: this is what the snapshot will carry.
-    run_driver_batch(driver, variants, jobs=1)
+    run_driver_batch(driver, variants,
+                     context=current_context().evolve(jobs=1))
 
     def boot_barrier(pool) -> None:
         # Wait until every worker has *checked in* (returned its PID):
@@ -462,12 +470,12 @@ def bench_pool_warm_start(seconds: float, task_id: str = "seq_count8_en",
         raise RuntimeError(f"pool workers never all booted ({seen})")
 
     def first_batch_ms(warm: bool) -> float:
-        with use_context(start_method="spawn", warm_start=warm):
+        with use_context(start_method="spawn", warm_start=warm, jobs=jobs):
             shutdown_sim_pool()
             pool = get_sim_pool(jobs)
             boot_barrier(pool)
             t0 = time.perf_counter()
-            runs = run_driver_batch(driver, variants, jobs=jobs)
+            runs = run_driver_batch(driver, variants)
             elapsed = time.perf_counter() - t0
             assert all(run.ok for run in runs)
             shutdown_sim_pool()
@@ -486,11 +494,11 @@ def bench_pool_warm_start(seconds: float, task_id: str = "seq_count8_en",
     # Fork path: steady-state batches with warm start on vs off must be
     # at parity (the flag ships nothing to fork pools).
     def fork_steady_ms(warm: bool) -> float:
-        with use_context(warm_start=warm):
+        with use_context(warm_start=warm, jobs=jobs):
             shutdown_sim_pool()
-            run_driver_batch(driver, variants, jobs=jobs)  # pool up + warm
+            run_driver_batch(driver, variants)  # pool up + warm
             return _time_repeated(
-                lambda: run_driver_batch(driver, variants, jobs=jobs),
+                lambda: run_driver_batch(driver, variants),
                 seconds) * 1000
 
     out["fork_steady_warm_ms"] = fork_steady_ms(True)
@@ -593,7 +601,7 @@ def bench_service_throughput(seconds: float, concurrency: int = 8) -> dict:
         context = current_context().evolve(
             jobs=1 if leg == "serial" else pool_jobs)
         shutdown_sim_pool()
-        clear_simulation_caches()
+        caches.clear()
         service = ServiceThread(config, context).start()
         try:
             stats = run_load(service.base_url, concurrency=concurrency,
@@ -649,7 +657,7 @@ def bench_campaign_resume(seconds: float, n_tasks: int = 6) -> dict:
     seed_root = tempfile.mkdtemp(prefix="bench-resume-seed-")
     try:
         seed_store = CampaignStore(seed_root)
-        clear_simulation_caches()
+        caches.clear()
         full = run_campaign(config, store=seed_store)
         snapshot = seed_store.load_snapshot()
     finally:
@@ -659,7 +667,7 @@ def bench_campaign_resume(seconds: float, n_tasks: int = 6) -> dict:
         root = tempfile.mkdtemp(prefix="bench-resume-cold-")
         try:
             store = CampaignStore(root)
-            clear_simulation_caches()
+            caches.clear()
             t0 = time.perf_counter()
             result = run_campaign(config, store=store)
             elapsed = time.perf_counter() - t0
@@ -676,7 +684,7 @@ def bench_campaign_resume(seconds: float, n_tasks: int = 6) -> dict:
                 store.put(store_key(*item), run)
             if snapshot is not None:
                 store.save_snapshot(snapshot)
-            clear_simulation_caches()
+            caches.clear()
             t0 = time.perf_counter()
             result = run_campaign(config, store=store, resume=True)
             elapsed = time.perf_counter() - t0

@@ -4,9 +4,9 @@ snapshot machinery built on top of it.
 The execution stack accumulates caches at every level — token streams
 (:mod:`repro.hdl.lexer`), parsed ASTs (:mod:`repro.hdl.parser`), shared
 slot programs (:mod:`repro.hdl.compile`), elaboration templates and
-cached failures (:mod:`repro.core.simulation`) — each with its own
-``clear_*`` / ``*_stats`` pair.  :data:`caches` registers them all
-behind a few verbs::
+cached failures (:mod:`repro.core.simulation`).  :data:`caches`
+registers them all behind a few verbs, and is the one handle callers
+use::
 
     caches.clear()                  # cold start: drop every layer
     caches.clear("design", "pair")  # drop selected layers
@@ -14,11 +14,10 @@ behind a few verbs::
     caches.export_snapshot()        # picklable warm-start artifact
     caches.import_snapshot(snap)    # warm a fresh process from it
 
-The legacy ``clear_simulation_caches`` / ``simulation_cache_stats`` /
-``clear_template_caches`` helpers in :mod:`repro.core.simulation`
-delegate here, so existing callers and recorded stats shapes are
-unchanged.  New caching layers self-register at import time via
-:meth:`CacheRegistry.register` instead of growing the helper functions.
+New caching layers self-register at import time via
+:meth:`CacheRegistry.register`; an :class:`LruCache` layer registers its
+bound ``clear`` / ``stats`` / ``export`` / ``import_entries`` methods
+directly.
 
 **Warm-start snapshots.**  Compiled-closure programs cannot cross a
 process boundary (closures do not pickle), but everything *below* the

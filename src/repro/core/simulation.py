@@ -31,14 +31,15 @@ programs across elaborations, so even a *fresh* (driver, DUT) pairing
 only re-binds the driver's programs instead of recompiling them.
 
 The execution engine (``compiled`` closures vs the reference
-``interpret`` walker), the simulation limits and the batch worker count
-resolve through the active :class:`~repro.hdl.context.SimContext`
-(explicit argument > ``use_context`` activation > env-seeded root
-context); batch APIs ship the resolved context to pool workers as part
-of each work item, so a worker never falls back to its own process
-defaults.  All cache layers register with
-:data:`repro.core.caches.caches`; the ``clear_*`` / ``*_stats``
-helpers below delegate to that facade.
+``interpret`` walker), the mutant-sweep strategy, the simulation limits
+and the batch worker count resolve through the
+:class:`~repro.hdl.context.SimContext` (explicit ``context=`` argument >
+``use_context`` activation > env-seeded root context); batch APIs ship
+the resolved context to pool workers as part of each work item, so a
+worker never falls back to its own process defaults.  All cache layers
+register with :data:`repro.core.caches.caches`, the one handle for
+clearing them (``caches.clear(...)``) and reading their counters
+(``caches.stats()``).
 
 Pool workers start *warm*: forked workers inherit the parent's caches
 through memory, and spawn/forkserver workers (where compiled closures
@@ -67,33 +68,19 @@ from dataclasses import dataclass, field
 from ..hdl import ast as hdl_ast
 from ..hdl.compile import (begin_warm_start, clear_program_cache,
                            end_warm_start, program_cache_stats)
-from ..hdl.context import (START_METHOD_DEFAULT, SimContext,
+from ..hdl.context import (MUTANT_LOCKSTEP, MUTANT_PER_MUTANT,
+                           START_METHOD_DEFAULT, SimContext,
                            current_context, use_context)
 from ..hdl.elaborate import Design, elaborate
-from ..hdl.errors import (ElaborationError, HdlError, SimulationError,
-                          SimulationLimit, VerilogSyntaxError)
-from ..hdl.lexer import (clear_tokenize_cache, export_tokenize_cache,
-                         import_tokenize_cache, tokenize_cache_stats)
-from ..hdl.parser import (clear_parse_cache, export_parse_cache,
-                          import_parse_cache, parse_cache_stats,
-                          parse_source_cached)
+from ..hdl.errors import ElaborationError, HdlError, VerilogSyntaxError
+from ..hdl.lexer import token_cache
+from ..hdl.parser import parse_cache, parse_source_cached
 from ..hdl.simulator import SimulationResult, Simulator
-# Engine selection lives in repro.hdl.context (the single source of
-# truth); these are re-exported (redundant-alias form) for callers that
-# configure simulation at this layer (campaigns, CLI, benchmarks).
-from ..hdl.context import ENGINE_COMPILED as ENGINE_COMPILED
-from ..hdl.context import ENGINE_INTERPRET as ENGINE_INTERPRET
-from ..hdl.context import ENGINES as ENGINES
-from ..hdl.context import MUTANT_ENGINES as MUTANT_ENGINES
-from ..hdl.context import MUTANT_LOCKSTEP as MUTANT_LOCKSTEP
-from ..hdl.context import MUTANT_PER_MUTANT as MUTANT_PER_MUTANT
 from ..hdl import lockstep as lockstep_mod
 from ..hdl.lockstep import (LockstepUnsupported, build_union,
                             clear_lockstep_caches, lockstep_cache_stats)
-from ..hdl.simulator import get_default_engine as get_default_engine
-from ..hdl.simulator import set_default_engine as set_default_engine
 from ..codegen.driver import DUMP_FILE
-from .caches import CacheSnapshot, ScopedLruCache, caches, use_task_scope
+from .caches import ScopedLruCache, caches, use_task_scope
 
 # Failure taxonomy used throughout evaluation:
 SYNTAX = "syntax"          # does not parse (Eval0 fails)
@@ -164,11 +151,11 @@ class DesignTemplate:
                 mem.waiters.clear()
 
     def run(self, max_time: int | None = None,
-            max_stmts: int | None = None, seed: int = 0,
-            engine: str | None = None) -> SimulationResult:
+            max_stmts: int | None = None,
+            seed: int = 0) -> SimulationResult:
         """Reset state and simulate.
 
-        ``engine`` / ``max_time`` / ``max_stmts`` left as ``None``
+        The engine, and ``max_time`` / ``max_stmts`` left as ``None``,
         resolve through the active :class:`SimContext`.
 
         Note: the returned ``SimulationResult.design`` references the
@@ -179,8 +166,7 @@ class DesignTemplate:
             self.reset()
             try:
                 return Simulator(self.design, max_time=max_time,
-                                 max_stmts=max_stmts, seed=seed,
-                                 engine=engine).run()
+                                 max_stmts=max_stmts, seed=seed).run()
             finally:
                 # The simulator rebinds the design's runtime hooks to
                 # itself; restore the defaults so this cached template
@@ -268,6 +254,20 @@ _union_templates = ScopedLruCache(_template_capacity,
                                   total_budget=_template_budget)
 
 
+def _cached_template(cache: ScopedLruCache, key: tuple,
+                     build) -> DesignTemplate:
+    """Template lookup guarded by the failure cache: a key whose build
+    failed re-raises the recorded error without re-running the front
+    end (or the union builder), and a fresh failure is recorded."""
+    _raise_cached_failure(key)
+    try:
+        return cache.get_or_create(key, build)
+    except (VerilogSyntaxError, ElaborationError,
+            LockstepUnsupported) as exc:
+        _record_failure(key, exc)
+        raise
+
+
 def design_template(source_text: str, top: str) -> DesignTemplate:
     """Elaboration cache: ``(source_text, top)`` -> compiled template.
 
@@ -281,15 +281,9 @@ def design_template(source_text: str, top: str) -> DesignTemplate:
     >>> template.run().design.signal("o").value.to_uint()
     1
     """
-    key = (source_text, top)
-    _raise_cached_failure(key)
-    try:
-        return _design_templates.get_or_create(
-            key, lambda: DesignTemplate(
-                elaborate(parse_cached(source_text), top)))
-    except (VerilogSyntaxError, ElaborationError) as exc:
-        _record_failure(key, exc)
-        raise
+    return _cached_template(
+        _design_templates, (source_text, top),
+        lambda: DesignTemplate(elaborate(parse_cached(source_text), top)))
 
 
 def _build_pair_template(dut_src: str, tb_src: str,
@@ -309,14 +303,9 @@ def _pair_template(dut_src: str, tb_src: str, top: str) -> DesignTemplate:
     modules shadow same-named ones, exactly like the pre-cache merge.
     Failures are cached like :func:`design_template`'s.
     """
-    key = (dut_src, tb_src, top)
-    _raise_cached_failure(key)
-    try:
-        return _pair_templates.get_or_create(
-            key, lambda: _build_pair_template(dut_src, tb_src, top))
-    except (VerilogSyntaxError, ElaborationError) as exc:
-        _record_failure(key, exc)
-        raise
+    return _cached_template(
+        _pair_templates, (dut_src, tb_src, top),
+        lambda: _build_pair_template(dut_src, tb_src, top))
 
 
 def _clear_failure_cache() -> None:
@@ -399,20 +388,18 @@ def _rebuild_templates(keys, build) -> int:
 
 
 # Every caching layer registers with the shared facade; registration
-# order fixes the key order of ``caches.stats()`` (and therefore of
-# ``simulation_cache_stats()``, whose recorded shape predates the
-# registry).  Layers whose contents are picklable plain data register
-# export/import hooks and so participate in warm-start snapshots; the
-# program cache holds closures and is deliberately snapshot-blind (its
-# contents are re-derived by the template import above).
-caches.register("tokenize", clear=clear_tokenize_cache,
-                stats=tokenize_cache_stats,
-                export=export_tokenize_cache,
-                import_=import_tokenize_cache)
-caches.register("parse", clear=clear_parse_cache,
-                stats=parse_cache_stats,
-                export=export_parse_cache,
-                import_=import_parse_cache)
+# order fixes the key order of ``caches.stats()`` (a recorded shape that
+# traces and benches read).  Layers whose contents are picklable plain
+# data register export/import hooks and so participate in warm-start
+# snapshots; the program cache holds closures and is deliberately
+# snapshot-blind (its contents are re-derived by the template import
+# above).
+caches.register("tokenize", clear=token_cache.clear, stats=token_cache.stats,
+                export=token_cache.export,
+                import_=token_cache.import_entries)
+caches.register("parse", clear=parse_cache.clear, stats=parse_cache.stats,
+                export=parse_cache.export,
+                import_=parse_cache.import_entries)
 caches.register("design", clear=_design_templates.clear,
                 stats=_design_templates.stats,
                 export=_design_templates.export_keys,
@@ -444,24 +431,6 @@ def _union_layer_stats() -> dict:
 # program cache); the lockstep rename cache rides on the same layer.
 caches.register("union", clear=_clear_union_layer,
                 stats=_union_layer_stats)
-
-
-def clear_template_caches() -> None:
-    """Drop elaboration templates and cached failures, keeping the parse
-    cache and the shared slot-program cache warm."""
-    caches.clear("design", "pair", "failure", "union")
-
-
-def clear_simulation_caches() -> None:
-    """Drop every caching layer (benchmark cold starts): templates,
-    cached failures, parsed ASTs, token streams and shared compiled
-    programs."""
-    caches.clear()
-
-
-def simulation_cache_stats() -> dict:
-    """Hit/miss counters for the caching layers (telemetry)."""
-    return caches.stats()
 
 
 @dataclass(frozen=True)
@@ -595,33 +564,39 @@ def _demux_records(lines: list[str],
     return lanes
 
 
-def run_driver(driver_src: str, dut_src: str,
-               engine: str | None = None) -> DriverRun:
-    """Simulate the hybrid-TB driver against a DUT, collect the dump."""
-    try:
-        parse_cached(driver_src)
-    except VerilogSyntaxError as exc:
-        return DriverRun(SYNTAX, detail=f"driver: {exc}")
-    try:
-        parse_cached(dut_src)
-    except VerilogSyntaxError as exc:
-        return DriverRun(SYNTAX, detail=f"dut: {exc}")
+def _run_pair(failed, tb_label: str, tb_src: str, dut_src: str):
+    """The parse -> pair template -> run ladder shared by
+    :func:`run_driver` and :func:`run_monolithic`.
 
+    Returns ``(result, None)`` when the simulation ran, else
+    ``(None, failed(status, detail=...))`` — ``failed`` is the caller's
+    run type, and each stage's ``detail`` wording is part of the
+    recorded reports (the validator quotes ``detail[:50]``).
+    """
+    for label, src in ((tb_label, tb_src), ("dut", dut_src)):
+        try:
+            parse_cached(src)
+        except VerilogSyntaxError as exc:
+            return None, failed(SYNTAX, detail=f"{label}: {exc}")
     try:
-        template = _pair_template(dut_src, driver_src, "tb")
+        template = _pair_template(dut_src, tb_src, "tb")
     except VerilogSyntaxError as exc:  # pragma: no cover - defensive
-        return DriverRun(SYNTAX, detail=str(exc))
+        return None, failed(SYNTAX, detail=str(exc))
     except ElaborationError as exc:
-        return DriverRun(ELABORATION, detail=str(exc))
+        return None, failed(ELABORATION, detail=str(exc))
     try:
-        result = template.run(engine=engine)
-    except (SimulationError, SimulationLimit) as exc:
-        return DriverRun(RUNTIME, detail=str(exc))
-    except HdlError as exc:  # late elaboration-class errors: still runtime
-        return DriverRun(RUNTIME, detail=str(exc))
+        return template.run(), None
+    except HdlError as exc:  # includes late elaboration-class errors
+        return None, failed(RUNTIME, detail=str(exc))
     except RecursionError:  # pragma: no cover - defensive
-        return DriverRun(RUNTIME, detail="recursion limit")
+        return None, failed(RUNTIME, detail="recursion limit")
 
+
+def run_driver(driver_src: str, dut_src: str) -> DriverRun:
+    """Simulate the hybrid-TB driver against a DUT, collect the dump."""
+    result, failure = _run_pair(DriverRun, "driver", driver_src, dut_src)
+    if failure is not None:
+        return failure
     if not result.finished:
         return DriverRun(RUNTIME, detail="simulation ended without $finish")
     lines = result.files.get(DUMP_FILE, [])
@@ -641,33 +616,13 @@ class MonolithicRun:
     detail: str = ""
 
 
-def run_monolithic(tb_src: str, dut_src: str,
-                   engine: str | None = None) -> MonolithicRun:
+def run_monolithic(tb_src: str, dut_src: str) -> MonolithicRun:
     """Simulate a baseline testbench; parse its printed verdict."""
     from ..codegen.baseline import baseline_verdict
 
-    try:
-        parse_cached(tb_src)
-    except VerilogSyntaxError as exc:
-        return MonolithicRun(SYNTAX, detail=f"tb: {exc}")
-    try:
-        parse_cached(dut_src)
-    except VerilogSyntaxError as exc:
-        return MonolithicRun(SYNTAX, detail=f"dut: {exc}")
-    try:
-        template = _pair_template(dut_src, tb_src, "tb")
-    except VerilogSyntaxError as exc:  # pragma: no cover - defensive
-        return MonolithicRun(SYNTAX, detail=str(exc))
-    except ElaborationError as exc:
-        return MonolithicRun(ELABORATION, detail=str(exc))
-    try:
-        result = template.run(engine=engine)
-    except (SimulationError, SimulationLimit) as exc:
-        return MonolithicRun(RUNTIME, detail=str(exc))
-    except HdlError as exc:
-        return MonolithicRun(RUNTIME, detail=str(exc))
-    except RecursionError:  # pragma: no cover - defensive
-        return MonolithicRun(RUNTIME, detail="recursion limit")
+    result, failure = _run_pair(MonolithicRun, "tb", tb_src, dut_src)
+    if failure is not None:
+        return failure
     if not result.finished:
         return MonolithicRun(RUNTIME, detail="no $finish")
     verdict = baseline_verdict(result.stdout)
@@ -761,14 +716,6 @@ def _warm_start_initializer(payload: bytes) -> None:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"warning: pool warm-start import failed ({exc}); "
               f"worker starts cold", file=sys.stderr)
-
-
-def export_warm_start_snapshot() -> CacheSnapshot:
-    """Snapshot this process's picklable cache layers (the warm-start
-    artifact shipped to pool workers; also usable standalone — pickle
-    it to disk and import it in a later process via
-    :meth:`~repro.core.caches.CacheRegistry.import_snapshot`)."""
-    return caches.export_snapshot()
 
 
 def get_sim_pool(jobs: int, start_method: str | None = None,
@@ -933,17 +880,17 @@ def _monolithic_batch_worker(item: tuple) -> MonolithicRun:
         return run_monolithic(tb_src, dut_src)
 
 
-def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
-               engine: str | None, context: SimContext | None) -> list:
+def _run_batch(worker, shared_src: str, dut_srcs,
+               context: SimContext | None) -> list:
     """Shared fan-out: dedup identical DUTs, then run each unique pair.
 
     The shared testbench text is parsed once (cache) and each unique
     (testbench, DUT) design is elaborated + compiled once (template
     cache), so a batch amortizes every per-design cost across the runs.
-    With ``jobs > 1`` unique pairs spread over the *persistent* process
-    pool (:func:`get_sim_pool`): workers survive across batch calls, so
-    their caches stay warm and repeated small batches skip the pool
-    spin-up entirely.
+    With the context's ``jobs > 1`` unique pairs spread over the
+    *persistent* process pool (:func:`get_sim_pool`): workers survive
+    across batch calls, so their caches stay warm and repeated small
+    batches skip the pool spin-up entirely.
 
     The resolved :class:`SimContext` travels inside each work item and
     is activated in whichever process runs it — pool workers have their
@@ -951,21 +898,12 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
     ignore any activation made in this (the parent) process.
     """
     context = context if context is not None else current_context()
-    if engine:
-        context = context.evolve(engine=engine)
-    if jobs is None:
-        jobs = context.jobs
     dut_list = list(dut_srcs)
-    order: list[str] = []
-    seen = set()
-    for dut in dut_list:
-        if dut not in seen:
-            seen.add(dut)
-            order.append(dut)
+    order = list(dict.fromkeys(dut_list))
 
     items = [(shared_src, dut, context) for dut in order]
-    if jobs > 1 and len(order) > 1:
-        unique_results = _pool_map(worker, items, jobs)
+    if context.jobs > 1 and len(order) > 1:
+        unique_results = _pool_map(worker, items, context.jobs)
     else:
         unique_results = [worker(item) for item in items]
 
@@ -973,28 +911,23 @@ def _run_batch(worker, shared_src: str, dut_srcs, jobs: int | None,
     return [by_src[dut] for dut in dut_list]
 
 
-def run_driver_batch(driver_src: str, dut_srcs, jobs: int | None = None,
-                     engine: str | None = None,
+def run_driver_batch(driver_src: str, dut_srcs,
                      context: SimContext | None = None) -> list[DriverRun]:
     """Run one hybrid-TB driver against many DUT variants.
 
     This is the validator/AutoEval hot path: the driver is compiled
-    once, identical DUTs are simulated once, and ``jobs > 1`` fans the
-    unique runs across a process pool.  ``jobs`` / ``engine`` /
-    ``context`` left unset resolve through the active
-    :class:`SimContext`.
+    once, identical DUTs are simulated once, and a context with
+    ``jobs > 1`` fans the unique runs across a process pool.
+    ``context`` left unset resolves to the active :class:`SimContext`.
     """
-    return _run_batch(_driver_batch_worker, driver_src, dut_srcs, jobs,
-                      engine, context)
+    return _run_batch(_driver_batch_worker, driver_src, dut_srcs, context)
 
 
-def run_monolithic_batch(tb_src: str, dut_srcs, jobs: int | None = None,
-                         engine: str | None = None,
+def run_monolithic_batch(tb_src: str, dut_srcs,
                          context: SimContext | None = None,
                          ) -> list[MonolithicRun]:
     """Run one self-checking testbench against many DUT variants."""
-    return _run_batch(_monolithic_batch_worker, tb_src, dut_srcs, jobs,
-                      engine, context)
+    return _run_batch(_monolithic_batch_worker, tb_src, dut_srcs, context)
 
 
 # ----------------------------------------------------------------------
@@ -1046,11 +979,10 @@ def _retire_round(golden_run: DriverRun | None,
 
 
 def _per_mutant_sweep(driver_src: str, dut_list: list[str],
-                      golden_src: str | None, jobs: int | None,
-                      context: SimContext,
+                      golden_src: str | None, context: SimContext,
                       fallback_reason: str = "") -> MutantSweep:
     lanes = ([golden_src] if golden_src is not None else []) + dut_list
-    runs = run_driver_batch(driver_src, lanes, jobs=jobs, context=context)
+    runs = run_driver_batch(driver_src, lanes, context=context)
     golden_run = runs[0] if golden_src is not None else None
     dut_runs = runs[1:] if golden_src is not None else runs
     return MutantSweep(
@@ -1070,24 +1002,13 @@ def _lockstep_sweep(driver_src: str, dut_list: list[str],
     run faithfully; the caller falls back to the per-mutant path.
     """
     lanes = ([golden_src] if golden_src is not None else []) + dut_list
-    order: list[str] = []
-    seen = set()
-    for lane in lanes:
-        if lane not in seen:
-            seen.add(lane)
-            order.append(lane)
+    order = list(dict.fromkeys(lanes))
     n_lanes = len(order)
 
-    key = ("union", driver_src, tuple(order))
-    _raise_cached_failure(key)
-    try:
-        template = _union_templates.get_or_create(
-            key, lambda: DesignTemplate(
-                elaborate(build_union(driver_src, order), "tb")))
-    except (VerilogSyntaxError, ElaborationError,
-            LockstepUnsupported) as exc:
-        _record_failure(key, exc)
-        raise
+    template = _cached_template(
+        _union_templates, ("union", driver_src, tuple(order)),
+        lambda: DesignTemplate(
+            elaborate(build_union(driver_src, order), "tb")))
 
     with use_context(context):
         # One run carries every lane's statements: scale the statement
@@ -1120,9 +1041,6 @@ def _lockstep_sweep(driver_src: str, dut_list: list[str],
 def run_mutant_sweep(driver_src: str, dut_srcs,
                      golden_src: str | None = None,
                      kind: str = "hybrid",
-                     jobs: int | None = None,
-                     engine: str | None = None,
-                     mutant_engine: str | None = None,
                      context: SimContext | None = None) -> MutantSweep:
     """Sweep one shared testbench across many DUT variants of one
     design (AutoEval Eval2 mutant batches, validator R/S matrices).
@@ -1145,24 +1063,17 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
     run separately plus each variant's *retire round* — the dump-record
     index of first divergence from the golden lane.
 
-    ``mutant_engine`` / ``jobs`` / ``engine`` / ``context`` left unset
-    resolve through the active :class:`SimContext`
-    (``SimContext.mutant_engine``, env ``REPRO_MUTANT_ENGINE``).
+    The strategy (``SimContext.mutant_engine``, env
+    ``REPRO_MUTANT_ENGINE``), engine, limits and worker count come from
+    ``context``, or the active :class:`SimContext` when it is unset.
     """
     context = context if context is not None else current_context()
-    if engine:
-        context = context.evolve(engine=engine)
-    strategy = (mutant_engine if mutant_engine is not None
-                else context.mutant_engine)
-    if strategy not in MUTANT_ENGINES:
-        raise ValueError(f"unknown mutant_engine {strategy!r}; "
-                         f"expected one of {MUTANT_ENGINES}")
+    strategy = context.mutant_engine
     dut_list = list(dut_srcs)
 
     if kind == "monolithic":
         lanes = ([golden_src] if golden_src is not None else []) + dut_list
-        runs = run_monolithic_batch(driver_src, lanes, jobs=jobs,
-                                    context=context)
+        runs = run_monolithic_batch(driver_src, lanes, context=context)
         golden_run = runs[0] if golden_src is not None else None
         return MutantSweep(
             runs=runs[1:] if golden_src is not None else runs,
@@ -1176,11 +1087,10 @@ def run_mutant_sweep(driver_src: str, dut_srcs,
                          f"expected 'hybrid' or 'monolithic'")
 
     if strategy == MUTANT_PER_MUTANT or not dut_list:
-        return _per_mutant_sweep(driver_src, dut_list, golden_src, jobs,
-                                 context)
+        return _per_mutant_sweep(driver_src, dut_list, golden_src, context)
     try:
         return _lockstep_sweep(driver_src, dut_list, golden_src, context)
     except (LockstepUnsupported, HdlError, RecursionError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
-        return _per_mutant_sweep(driver_src, dut_list, golden_src, jobs,
-                                 context, fallback_reason=reason)
+        return _per_mutant_sweep(driver_src, dut_list, golden_src, context,
+                                 fallback_reason=reason)

@@ -46,14 +46,13 @@ class EvalResult:
 
 
 def evaluate_hybrid(tb: HybridTestbench,
-                    golden: GoldenArtifacts | None = None,
-                    sim_jobs: int | None = None) -> EvalResult:
+                    golden: GoldenArtifacts | None = None) -> EvalResult:
     """Grade a hybrid testbench.
 
     The mutant sweep runs through :func:`run_mutant_sweep` (lockstep by
-    default).  ``sim_jobs`` applies to the per-mutant path only and
-    defaults to the active :class:`~repro.hdl.SimContext`'s ``jobs``;
-    values above 1 fan the sweep across the persistent worker pool.
+    default).  On the per-mutant path, an active
+    :class:`~repro.hdl.SimContext` with ``jobs`` above 1 fans the sweep
+    across the persistent worker pool.
     """
     task = get_task(tb.task_id)
     golden = golden or golden_artifacts(tb.task_id)
@@ -73,8 +72,7 @@ def evaluate_hybrid(tb: HybridTestbench,
 
     if golden.mutants:
         verdicts = hybrid_verdicts_batch(
-            tb, [mutant.source for mutant in golden.mutants], task,
-            jobs=sim_jobs)
+            tb, [mutant.source for mutant in golden.mutants], task)
     else:
         verdicts = []
     agreement = _mutant_agreement(verdicts, golden)
@@ -86,8 +84,7 @@ def evaluate_hybrid(tb: HybridTestbench,
 
 
 def evaluate_monolithic(tb: MonolithicTestbench,
-                        golden: GoldenArtifacts | None = None,
-                        sim_jobs: int | None = None) -> EvalResult:
+                        golden: GoldenArtifacts | None = None) -> EvalResult:
     task = get_task(tb.task_id)
     golden = golden or golden_artifacts(tb.task_id)
 
@@ -102,7 +99,7 @@ def evaluate_monolithic(tb: MonolithicTestbench,
     if golden.mutants:
         sweep = run_mutant_sweep(
             tb.source, [mutant.source for mutant in golden.mutants],
-            kind="monolithic", jobs=sim_jobs)
+            kind="monolithic")
         verdicts = [result.verdict if result.status == "ok" else None
                     for result in sweep.runs]
     else:
@@ -115,13 +112,12 @@ def evaluate_monolithic(tb: MonolithicTestbench,
                       agreement=agreement)
 
 
-def evaluate(tb, golden: GoldenArtifacts | None = None,
-             sim_jobs: int | None = None) -> EvalResult:
+def evaluate(tb, golden: GoldenArtifacts | None = None) -> EvalResult:
     """Evaluate either artifact type."""
     if isinstance(tb, HybridTestbench):
-        return evaluate_hybrid(tb, golden, sim_jobs=sim_jobs)
+        return evaluate_hybrid(tb, golden)
     if isinstance(tb, MonolithicTestbench):
-        return evaluate_monolithic(tb, golden, sim_jobs=sim_jobs)
+        return evaluate_monolithic(tb, golden)
     raise TypeError(f"cannot evaluate {type(tb).__name__}")
 
 

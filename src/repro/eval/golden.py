@@ -39,17 +39,16 @@ def hybrid_verdict(tb: HybridTestbench, dut_src: str,
 
 
 def hybrid_verdicts_batch(tb: HybridTestbench, dut_srcs,
-                          task: TaskSpec,
-                          jobs: int | None = None) -> list[bool | None]:
+                          task: TaskSpec) -> list[bool | None]:
     """Batched :func:`hybrid_verdict`: one driver, many DUT variants.
 
     Routed through :func:`run_mutant_sweep`, so under the default
     lockstep strategy the whole batch executes as one union simulation
     (AutoEval's mutant sweep runs the same testbench against 10 mutants
-    of one golden RTL); ``jobs=None`` resolves through the active
-    :class:`~repro.hdl.SimContext` on the per-mutant path.
+    of one golden RTL); the per-mutant path's worker count is the
+    active :class:`~repro.hdl.SimContext`'s ``jobs``.
     """
-    sweep = run_mutant_sweep(tb.driver_src, list(dut_srcs), jobs=jobs)
+    sweep = run_mutant_sweep(tb.driver_src, list(dut_srcs))
     verdicts: list[bool | None] = []
     for run in sweep.runs:
         if not run.ok:

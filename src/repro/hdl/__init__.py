@@ -10,9 +10,10 @@ CorrectBench system.  Execution is a four-stage pipeline::
     (frozen-dataclass) AST nodes.  Lexing runs through a single-pass
     *master-regex* tokenizer by default; the original
     character-at-a-time lexer is kept as a behavioural oracle
-    (``use_context(lexer="reference")`` or the ``REPRO_LEXER`` root
-    seed), and the lexer differential fuzz suite pins both to identical
-    token streams and error positions.  :func:`parse_source_cached` is the
+    (``use_context(lexer="reference")``, the ``REPRO_LEXER`` root seed,
+    or :class:`~repro.hdl.lexer.ReferenceLexer` directly), and the lexer
+    differential fuzz suite pins both to identical token streams and
+    error positions.  :func:`parse_source_cached` is the
     text-keyed parse cache: identical source text is parsed once
     process-wide, and the shared AST is safe because nodes are
     immutable.  A token-stream cache sits underneath it, so sources
@@ -60,25 +61,28 @@ Public surface:
 - :func:`simulate` — run a design whose testbench calls ``$finish``,
 - :class:`SimContext` / :func:`use_context` / :func:`current_context` —
   the request-scoped configuration API (engine, lexer, limits, jobs);
-  resolution order is explicit argument > active context > env-seeded
-  root context,
+  resolution order is explicit ``context=`` argument > active context >
+  env-seeded root context.  The engine, lexer and mutant-sweep names
+  (``ENGINE_*``, ``LEXER_*``, ``MUTANT_*``) live in
+  :mod:`repro.hdl.context` and are re-exported here.  Only
+  :class:`Simulator` / :func:`simulate` (the oracle entry points) and
+  :func:`tokenize` also take an explicit ``engine=`` / ``lexer=``,
 - :class:`Logic` — 4-state fixed-width vectors,
 - :mod:`repro.hdl.unparse` — AST back to source (used by the mutation
   engine).
 """
 
-from .context import (MUTANT_ENGINES, MUTANT_LOCKSTEP, MUTANT_PER_MUTANT,
-                      SimContext, current_context, resolve_jobs,
-                      root_context, set_root_context, use_context)
+from .context import (ENGINE_COMPILED, ENGINE_INTERPRET, ENGINES,
+                      LEXER_MASTER, LEXER_REFERENCE, LEXERS, MUTANT_ENGINES,
+                      MUTANT_LOCKSTEP, MUTANT_PER_MUTANT, SimContext,
+                      current_context, resolve_jobs, root_context,
+                      set_root_context, use_context)
 from .errors import (ElaborationError, HdlError, SimulationError,
                      SimulationLimit, VerilogSyntaxError)
-from .lexer import (LEXER_MASTER, LEXER_REFERENCE, LEXERS,
-                    get_default_lexer, set_default_lexer, tokenize,
-                    tokenize_cached)
+from .lexer import tokenize, tokenize_cached
 from .logic import Logic
 from .parser import parse_module, parse_source, parse_source_cached
-from .simulator import (ENGINE_COMPILED, ENGINE_INTERPRET, ENGINES,
-                        SimulationResult, Simulator, compile_design,
+from .simulator import (SimulationResult, Simulator, compile_design,
                         simulate)
 from .unparse import unparse_expr, unparse_module, unparse_source
 
@@ -103,13 +107,11 @@ __all__ = [
     "VerilogSyntaxError",
     "compile_design",
     "current_context",
-    "get_default_lexer",
     "parse_module",
     "parse_source",
     "parse_source_cached",
     "resolve_jobs",
     "root_context",
-    "set_default_lexer",
     "set_root_context",
     "simulate",
     "use_context",

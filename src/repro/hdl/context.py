@@ -1,29 +1,22 @@
 """Explicit, request-scoped simulation configuration.
 
-Historically every execution knob was process-wide mutable state:
-``set_default_engine`` / ``REPRO_SIM_ENGINE`` picked the simulator
-engine, ``set_default_lexer`` / ``REPRO_LEXER`` the tokenizer,
-``REPRO_JOBS`` the campaign worker count, and simulation limits were
-module constants.  That shape cannot serve concurrent workloads with
-different configurations: one request flipping a global reconfigures
-every other request in flight.
-
-This module replaces the globals with one immutable value object:
+Every execution knob lives in one immutable value object:
 
 :class:`SimContext`
-    a frozen dataclass carrying the engine, the lexer, the simulation
-    limits (``max_time`` / ``max_stmts``), the differential-fuzz budget
-    knobs and the worker-pool configuration (job count, start method,
-    warm-start flag, template-cache capacity).  Being immutable and
-    made of primitives it is hashable, comparable and picklable —
-    campaign work items ship the context to pool workers as plain data.
+    a frozen dataclass carrying the engine, the lexer, the mutant-sweep
+    strategy, the simulation limits (``max_time`` / ``max_stmts``), the
+    worker-pool configuration (job count, start method, warm-start
+    flag, template-cache capacity) and the trace, store and LLM-backend
+    settings.  Being immutable and made of primitives it is hashable,
+    comparable and picklable — campaign work items ship the context to
+    pool workers as plain data.
 
 :func:`current_context`
     the single resolution point.  Selection follows a strict order:
-    **explicit argument > active context > env-seeded root context**.
-    The *active* context is a :mod:`contextvars` variable, so nested
-    activations restore correctly and concurrent threads / asyncio
-    tasks each see their own configuration.
+    **explicit ``context=`` argument > active context > env-seeded root
+    context**.  The *active* context is a :mod:`contextvars` variable,
+    so nested activations restore correctly and concurrent threads /
+    asyncio tasks each see their own configuration.
 
 :func:`use_context`
     a context manager activating a context (or a derived one via
@@ -33,12 +26,11 @@ This module replaces the globals with one immutable value object:
             simulate(src, "tb")          # runs interpreted, capped
 
 :func:`root_context` / :func:`set_root_context`
-    the process-wide fallback, seeded once at import from the legacy
+    the process-wide fallback, seeded once at import from the
     ``REPRO_*`` environment variables (invalid values warn on stderr
-    and fall back to the defaults).  The deprecated
-    ``set_default_engine`` / ``set_default_lexer`` shims steer this
-    root, so existing code keeps working while new code composes
-    contexts explicitly.
+    and fall back to the defaults).  :func:`set_root_context` is for
+    process setup (CLI entry points, worker initializers); anything
+    request-scoped activates a context instead.
 """
 
 from __future__ import annotations
@@ -100,8 +92,6 @@ def valid_llm_backend(spec: str) -> bool:
 DEFAULT_MAX_TIME = 2_000_000
 DEFAULT_MAX_STMTS = 4_000_000
 DEFAULT_JOBS = 1
-DEFAULT_FUZZ_PROGRAMS = 200
-DEFAULT_FUZZ_SEED = 1729
 DEFAULT_TEMPLATE_CACHE_SIZE = 256
 #: Global template-entry budget across all task scopes.  Per-scope LRUs
 #: are bounded by ``template_cache_size``, but a worst-case workload
@@ -143,8 +133,6 @@ class SimContext:
     max_time: int = DEFAULT_MAX_TIME
     max_stmts: int = DEFAULT_MAX_STMTS
     jobs: int = DEFAULT_JOBS
-    fuzz_programs: int = DEFAULT_FUZZ_PROGRAMS
-    fuzz_seed: int = DEFAULT_FUZZ_SEED
     start_method: str = START_METHOD_DEFAULT
     warm_start: bool = True
     template_cache_size: int = DEFAULT_TEMPLATE_CACHE_SIZE
@@ -187,15 +175,13 @@ class SimContext:
             raise ValueError(f"unknown start_method "
                              f"{self.start_method!r}; "
                              f"expected one of {START_METHODS}")
-        for name in ("max_time", "max_stmts", "jobs", "fuzz_programs",
+        for name in ("max_time", "max_stmts", "jobs",
                      "template_cache_size", "template_cache_budget"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass: True must not pass as a budget of 1.
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, "
                                  f"got {value!r}")
-        if not isinstance(self.fuzz_seed, int):
-            raise ValueError(f"fuzz_seed must be an integer, "
-                             f"got {self.fuzz_seed!r}")
         if not isinstance(self.warm_start, bool):
             raise ValueError(f"warm_start must be a bool, "
                              f"got {self.warm_start!r}")
@@ -343,8 +329,6 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
             seeded.add(field_name)
 
     for env_name, field_name in (
-            ("REPRO_FUZZ_PROGRAMS", "fuzz_programs"),
-            ("REPRO_FUZZ_SEED", "fuzz_seed"),
             ("REPRO_TEMPLATE_CACHE_SIZE", "template_cache_size"),
             ("REPRO_TEMPLATE_CACHE_BUDGET", "template_cache_budget")):
         raw = environ.get(env_name)
@@ -356,7 +340,7 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
             _warn_env(f"{env_name}={raw!r} is not an integer; "
                       f"using the default")
             continue
-        if field_name != "fuzz_seed" and value < 1:
+        if value < 1:
             _warn_env(f"{env_name}={raw!r} must be >= 1; "
                       f"using the default")
             continue
@@ -385,13 +369,6 @@ def current_context() -> SimContext:
     return context if context is not None else _root
 
 
-def active_context() -> SimContext | None:
-    """The activation in effect, or ``None`` when resolution falls
-    through to the root (used by the deprecation shims to flag
-    root-steering that an activation would mask)."""
-    return _active.get()
-
-
 def root_context() -> SimContext:
     """The process-wide fallback context (env-seeded at import)."""
     return _root
@@ -401,8 +378,7 @@ def set_root_context(context: SimContext) -> None:
     """Replace the process-wide fallback context.
 
     Prefer :func:`use_context` for anything request-scoped; this is for
-    process setup (CLI entry points, worker initializers) and for the
-    legacy ``set_default_*`` shims.
+    process setup (CLI entry points, worker initializers).
     """
     global _root
     if not isinstance(context, SimContext):

@@ -23,62 +23,26 @@ Selection mirrors the simulator's engine knob and resolves through the
 active :class:`~repro.hdl.context.SimContext`: an explicit ``lexer=``
 argument to :func:`tokenize` wins, then ``use_context(lexer=...)``,
 then the env-seeded root context (``REPRO_LEXER``; invalid values warn
-and fall back to ``master``).  :func:`set_default_lexer` remains as a
-deprecated shim steering the root context.
+and fall back to ``master``).  The oracle is also reachable directly as
+:class:`ReferenceLexer`.
 
 :func:`tokenize_cached` adds a text-keyed token-stream cache (keyed by
 the active lexer so the ``reference`` CI leg genuinely re-lexes):
 sources whose *parse* failed, or whose parse-cache entry was evicted,
-skip the lexer entirely on re-entry.
+skip the lexer entirely on re-entry.  The cache itself,
+:data:`token_cache`, registers with :data:`repro.core.caches.caches`
+as the ``tokenize`` layer.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from sys import intern
 
 from ..util import LruCache
-
-# The canonical lexer names live in repro.hdl.context (alongside
-# SimContext); re-exported here (redundant-alias form) for the many
-# callers that import them from the lexer.
-from .context import LEXER_MASTER as LEXER_MASTER
-from .context import LEXER_REFERENCE as LEXER_REFERENCE
-from .context import LEXERS as LEXERS
-from .context import (active_context, current_context, root_context,
-                      set_root_context)
+from .context import LEXER_MASTER, LEXER_REFERENCE, LEXERS, current_context
 from .errors import VerilogSyntaxError
 from .tokens import KEYWORDS, PUNCTUATIONS, Token, TokenKind
-
-
-def set_default_lexer(lexer: str) -> None:
-    """Deprecated: steer the root :class:`~repro.hdl.context.SimContext`.
-
-    Prefer ``use_context(lexer=...)`` for request-scoped selection or
-    ``set_root_context`` for process setup; this shim remains so legacy
-    callers keep working.
-    """
-    if lexer not in LEXERS:
-        raise ValueError(f"unknown lexer {lexer!r}; "
-                         f"expected one of {LEXERS}")
-    message = ("set_default_lexer() is deprecated; use "
-               "repro.hdl.use_context(lexer=...) or set_root_context()")
-    if active_context() is not None:
-        # Mirror set_default_engine: flag root-steering that the
-        # current activation will mask (and that a pin-and-restore
-        # idiom would corrupt).
-        message += (" — an activated SimContext is in effect and keeps "
-                    "winning over this root-context change until it "
-                    "exits")
-    warnings.warn(message, DeprecationWarning, stacklevel=2)
-    set_root_context(root_context().evolve(lexer=lexer))
-
-
-def get_default_lexer() -> str:
-    """The lexer the current context resolves to (legacy accessor)."""
-    return current_context().lexer
-
 
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | frozenset("0123456789$")
@@ -305,11 +269,6 @@ class ReferenceLexer:
         # emptiness check is required to terminate at end of input.
         while self._peek() and self._peek() in " \t":
             self._advance()
-
-
-#: Backwards-compatible alias: external code that instantiated ``Lexer``
-#: keeps getting the (reference) class it was written against.
-Lexer = ReferenceLexer
 
 
 # ======================================================================
@@ -590,9 +549,9 @@ def tokenize(source: str, lexer: str | None = None) -> list[Token]:
     if name == LEXER_REFERENCE:
         return ReferenceLexer(source).tokenize()
     if name != LEXER_MASTER:
-        # Mirror set_default_lexer: a mistyped explicit name must not
-        # silently fall back to the master implementation (it would turn
-        # the differential suite into master-vs-master).
+        # A mistyped explicit name must not silently fall back to the
+        # master implementation (it would turn the differential suite
+        # into master-vs-master).
         raise ValueError(f"unknown lexer {name!r}; "
                          f"expected one of {LEXERS}")
     return _master_tokenize(source)
@@ -600,7 +559,7 @@ def tokenize(source: str, lexer: str | None = None) -> list[Token]:
 
 #: Token streams are picklable plain data, so this cache participates
 #: in warm-start snapshots (see :mod:`repro.core.caches`).
-_tokenize_cache = LruCache(capacity=512)
+token_cache = LruCache(capacity=512)
 
 
 def tokenize_cached(source: str,
@@ -620,23 +579,5 @@ def tokenize_cached(source: str,
     produced by the other implementation.
     """
     key = (source, lexer or current_context().lexer)
-    return _tokenize_cache.get_or_create(
+    return token_cache.get_or_create(
         key, lambda: tuple(tokenize(key[0], key[1])))
-
-
-def clear_tokenize_cache() -> None:
-    _tokenize_cache.clear()
-
-
-def tokenize_cache_stats() -> dict:
-    return _tokenize_cache.stats()
-
-
-def export_tokenize_cache() -> dict:
-    """Snapshot payload: ``{(source, lexer): token_stream}``."""
-    return _tokenize_cache.export()
-
-
-def import_tokenize_cache(entries: dict) -> int:
-    """Absorb a snapshot payload; returns the number of streams added."""
-    return _tokenize_cache.import_entries(entries)

@@ -638,7 +638,7 @@ def parse_source(source: str) -> ast.SourceFile:
 
 #: ASTs are immutable picklable dataclass trees, so this cache
 #: participates in warm-start snapshots (see :mod:`repro.core.caches`).
-_parse_cache = LruCache(capacity=4096)
+parse_cache = LruCache(capacity=4096)
 
 
 def parse_source_cached(source: str) -> ast.SourceFile:
@@ -653,26 +653,8 @@ def parse_source_cached(source: str) -> ast.SourceFile:
     still absorbs the lexing half of those retries, so a source that
     *lexes* but does not parse skips the tokenizer on re-entry.
     """
-    return _parse_cache.get_or_create(
+    return parse_cache.get_or_create(
         source, lambda: Parser(tokenize_cached(source)).parse_source())
-
-
-def clear_parse_cache() -> None:
-    _parse_cache.clear()
-
-
-def parse_cache_stats() -> dict:
-    return _parse_cache.stats()
-
-
-def export_parse_cache() -> dict:
-    """Snapshot payload: ``{source_text: SourceFile}``."""
-    return _parse_cache.export()
-
-
-def import_parse_cache(entries: dict) -> int:
-    """Absorb a snapshot payload; returns the number of ASTs added."""
-    return _parse_cache.import_entries(entries)
 
 
 def parse_module(source: str) -> ast.Module:

@@ -38,21 +38,13 @@ Two execution engines produce those generators/callables:
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import ast
 from .compile import compile_spec
-# The canonical engine names live in repro.hdl.context (alongside
-# SimContext); re-exported here (redundant-alias form) for the many
-# callers that import them from the simulator.
-from .context import ENGINE_COMPILED as ENGINE_COMPILED
-from .context import ENGINE_INTERPRET as ENGINE_INTERPRET
-from .context import ENGINES as ENGINES
-from .context import (active_context, current_context, root_context,
-                      set_root_context)
+from .context import ENGINE_COMPILED, ENGINES, current_context
 from .elaborate import Design, Memory, ProcSpec, Scope, Signal, elaborate
 from .errors import FinishRequest, SimulationError, SimulationLimit
 from .eval import case_match, eval_expr, signed_of
@@ -60,39 +52,6 @@ from .logic import Logic
 from .parser import parse_source_cached
 
 MAX_DELTAS_PER_SLOT = 20_000
-
-
-def set_default_engine(engine: str) -> None:
-    """Deprecated: steer the root :class:`~repro.hdl.context.SimContext`.
-
-    Prefer ``use_context(engine=...)`` for request-scoped selection or
-    ``set_root_context`` for process setup; this shim remains so legacy
-    callers keep working.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"expected one of {ENGINES}")
-    message = ("set_default_engine() is deprecated; use "
-               "repro.hdl.use_context(engine=...) or set_root_context()")
-    if active_context() is not None:
-        # The getter resolves through the activation, so a legacy
-        # pin-and-restore around this call would read the ACTIVE value
-        # and write it into the ROOT — warn loudly instead of letting
-        # the set appear to work.
-        message += (" — an activated SimContext is in effect and keeps "
-                    "winning over this root-context change until it "
-                    "exits")
-    warnings.warn(message, DeprecationWarning, stacklevel=2)
-    set_root_context(root_context().evolve(engine=engine))
-
-
-def get_default_engine() -> str:
-    """The engine the current context resolves to (legacy accessor)."""
-    return current_context().engine
-
-# Backwards-compatible alias; the class moved to ``repro.hdl.errors`` so
-# the compile pass can raise it without importing this module.
-_Finish = FinishRequest
 
 
 class WaitToken:
@@ -583,7 +542,7 @@ class Simulator:
     def _sys_task(self, stmt: ast.SysTaskCall, scope: Scope) -> None:
         name = stmt.name
         if name in ("$finish", "$stop"):
-            raise _Finish()
+            raise FinishRequest()
         if name == "$display":
             self.stdout.append(self._format_args(stmt.args, scope))
             return
@@ -681,7 +640,7 @@ class Simulator:
         except StopIteration:
             proc.done = True
             return
-        except _Finish:
+        except FinishRequest:
             proc.done = True
             self.finish_requested = True
             return
@@ -713,7 +672,7 @@ class Simulator:
         self._current_comb = comb
         try:
             comb.run(self)
-        except _Finish:
+        except FinishRequest:
             # $finish inside a combinational block must end the run, not
             # escape Simulator.run() as an internal exception.
             self.finish_requested = True

@@ -41,10 +41,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from ..core.caches import tenant_scope, use_task_scope
+from ..core.caches import caches, tenant_scope, use_task_scope
 from ..core.simulation import (run_driver_batch, run_monolithic_batch,
-                               shutdown_sim_pool, sim_pool_info,
-                               simulation_cache_stats)
+                               shutdown_sim_pool, sim_pool_info)
 from ..hdl.context import (SimContext, context_from_request,
                            current_context, use_context)
 from .batcher import MicroBatcher
@@ -389,7 +388,7 @@ class TestbenchService:
             },
             "batcher": batcher.stats.snapshot(),
             "sim_pool": _jsonable(sim_pool_info()),
-            "caches": _jsonable(simulation_cache_stats()),
+            "caches": _jsonable(caches.stats()),
         }
 
     async def _handle_simulate(self, request: Request) -> tuple[int, dict]:

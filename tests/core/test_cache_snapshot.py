@@ -13,9 +13,7 @@ import pytest
 import repro.core.simulation as sim
 from repro.codegen import render_driver
 from repro.core.caches import CacheSnapshot, caches
-from repro.core.simulation import (clear_simulation_caches, design_template,
-                                   export_warm_start_snapshot, run_driver,
-                                   simulation_cache_stats)
+from repro.core.simulation import design_template, run_driver
 from repro.hdl.compile import program_cache_stats
 from repro.hdl.errors import ElaborationError
 from repro.problems import get_task
@@ -33,7 +31,7 @@ BAD_ELAB = ("module m(output o);\n"
 def _warm_parent():
     """Build a known warm state: one design template, one driver/DUT
     pair, one cached elaboration failure."""
-    clear_simulation_caches()
+    caches.clear()
     task = get_task("cmb_eq4")
     driver = render_driver(task, task.canonical_scenarios())
     golden = task.golden_rtl()
@@ -47,7 +45,7 @@ def _warm_parent():
 class TestSnapshotValue:
     def test_snapshot_is_picklable_plain_data(self):
         _warm_parent()
-        snapshot = export_warm_start_snapshot()
+        snapshot = caches.export_snapshot()
         assert snapshot  # truthy: carries entries
         clone = pickle.loads(pickle.dumps(snapshot))
         assert clone.layers() == snapshot.layers()
@@ -57,15 +55,15 @@ class TestSnapshotValue:
 
     def test_layer_counts(self):
         _warm_parent()
-        counts = export_warm_start_snapshot().counts()
+        counts = caches.export_snapshot().counts()
         assert counts["design"] == 1
         assert counts["pair"] == 1
         assert counts["failure"] == 1
         assert counts["parse"] >= 2  # driver + golden + GOOD
 
     def test_empty_snapshot_is_falsy(self):
-        clear_simulation_caches()
-        assert not export_warm_start_snapshot()
+        caches.clear()
+        assert not caches.export_snapshot()
 
     def test_import_rejects_wrong_type_and_version(self):
         with pytest.raises(TypeError):
@@ -80,19 +78,19 @@ class TestInProcessRoundTrip:
         layer is a pure hit (identical hit behaviour to the process the
         snapshot came from)."""
         driver, golden = _warm_parent()
-        snapshot = export_warm_start_snapshot()
-        clear_simulation_caches()
+        snapshot = caches.export_snapshot()
+        caches.clear()
         imported = caches.import_snapshot(snapshot)
         assert imported["design"] == 1
         assert imported["pair"] == 1
         assert imported["failure"] == 1
 
-        before = simulation_cache_stats()
+        before = caches.stats()
         # Re-running the snapshotted workload must not touch the front
         # end at all: parse and template lookups all hit.
         monkeypatch.setattr(sim, "elaborate", _must_not_run)
         assert run_driver(driver, golden).ok
-        after = simulation_cache_stats()
+        after = caches.stats()
         assert after["parse"]["misses"] == before["parse"]["misses"]
         assert after["pair"]["hits"] == before["pair"]["hits"] + 1
         # The cached failure re-raises without re-elaborating, too.
@@ -102,8 +100,8 @@ class TestInProcessRoundTrip:
     def test_imported_templates_simulate_identically(self):
         driver, golden = _warm_parent()
         reference = run_driver(driver, golden)
-        snapshot = export_warm_start_snapshot()
-        clear_simulation_caches()
+        snapshot = caches.export_snapshot()
+        caches.clear()
         caches.import_snapshot(snapshot)
         rerun = run_driver(driver, golden)
         assert rerun.status == reference.status
@@ -112,8 +110,8 @@ class TestInProcessRoundTrip:
 
     def test_import_counts_ahead_of_time_compiles(self):
         _warm_parent()
-        snapshot = export_warm_start_snapshot()
-        clear_simulation_caches()
+        snapshot = caches.export_snapshot()
+        caches.clear()
         warm_before = program_cache_stats()["warm_start_compiled"]
         caches.import_snapshot(snapshot)
         # Template import re-derives the closure layer eagerly.
@@ -130,7 +128,7 @@ def test_fresh_spawn_process_round_trip(tmp_path):
     snapshotted workload run entirely from warm caches."""
     driver, golden = _warm_parent()
     snapshot_path = tmp_path / "snapshot.pkl"
-    snapshot_path.write_bytes(pickle.dumps(export_warm_start_snapshot()))
+    snapshot_path.write_bytes(pickle.dumps(caches.export_snapshot()))
     (tmp_path / "driver.v").write_text(driver)
     (tmp_path / "golden.v").write_text(golden)
 
@@ -138,8 +136,7 @@ def test_fresh_spawn_process_round_trip(tmp_path):
         import pickle, sys
         from pathlib import Path
         from repro.core.caches import caches
-        from repro.core.simulation import (run_driver,
-                                           simulation_cache_stats)
+        from repro.core.simulation import run_driver
         from repro.hdl.compile import program_cache_stats
 
         base = Path(sys.argv[1])
@@ -152,7 +149,7 @@ def test_fresh_spawn_process_round_trip(tmp_path):
         run = run_driver((base / "driver.v").read_text(),
                          (base / "golden.v").read_text())
         assert run.ok, run.detail
-        stats = simulation_cache_stats()
+        stats = caches.stats()
         # Identical hit behaviour to a warm parent: zero front-end
         # misses for the snapshotted workload.
         assert stats["parse"]["misses"] == 0, stats["parse"]

@@ -1,27 +1,29 @@
-"""SimContext resolution, isolation, shims and the cache facade.
+"""SimContext resolution, isolation and the cache facade.
 
-Pins the PR-4 configuration API: explicit argument > active context >
-env-seeded root; nested activations restore; contexts neither leak
-across threads nor into pool workers (work items carry their own);
-the deprecated ``set_default_*`` shims steer the root context; and the
-``CacheRegistry`` facade fronts every cache layer.
+Pins the configuration API: explicit ``context=`` argument > active
+context > env-seeded root; nested activations restore; contexts
+neither leak across threads nor into pool workers (work items carry
+their own); no core or eval API takes a per-call engine / jobs
+override; and the ``CacheRegistry`` facade fronts every cache layer.
 """
 
+import inspect
 import threading
 
 import pytest
 
+from repro.core import simulation
 from repro.core.caches import CacheRegistry, caches
-from repro.core.simulation import (RUNTIME, run_driver, run_driver_batch,
-                                   simulation_cache_stats)
-from repro.eval.campaign import campaign_jobs_from_env
+from repro.core.simulation import RUNTIME, run_driver, run_driver_batch
+from repro.core.validator import ScenarioValidator
+from repro.eval import campaign
+from repro.eval.campaign import CampaignConfig, campaign_jobs_from_env
 from repro.hdl import simulate
 from repro.hdl.context import (ENGINE_COMPILED, ENGINE_INTERPRET,
                                LEXER_REFERENCE, MUTANT_LOCKSTEP,
                                MUTANT_PER_MUTANT, SimContext,
                                _context_from_env, current_context,
                                root_context, set_root_context, use_context)
-from repro.hdl.simulator import set_default_engine
 from repro.codegen import render_driver
 from repro.problems import get_task
 
@@ -58,8 +60,12 @@ class TestSimContext:
             SimContext(max_time=0)
         with pytest.raises(ValueError):
             SimContext(jobs=-2)
-        with pytest.raises(ValueError):
-            SimContext(fuzz_seed="abc")
+
+    @pytest.mark.parametrize("name", ["max_time", "max_stmts", "jobs"])
+    def test_bool_is_not_an_integer_knob(self, name):
+        # bool subclasses int: True must not pass as a budget of 1.
+        with pytest.raises(ValueError, match=name):
+            SimContext(**{name: True})
 
     def test_evolve_revalidates(self):
         context = SimContext()
@@ -139,18 +145,19 @@ class TestResolution:
         # the root, not to another thread's request context.
         assert seen["engine"] == root_context().engine
 
-    def test_shims_steer_root_context(self):
-        original = root_context()
-        try:
-            with pytest.deprecated_call():
-                set_default_engine(ENGINE_INTERPRET)
-            assert root_context().engine == ENGINE_INTERPRET
-            assert current_context().engine == ENGINE_INTERPRET
-            # An activation still beats the steered root.
-            with use_context(engine=ENGINE_COMPILED):
-                assert current_context().engine == ENGINE_COMPILED
-        finally:
-            set_root_context(original)
+    def test_apis_take_no_per_call_overrides(self):
+        # Above repro.hdl the context is the only way to pick an engine,
+        # a worker count or a sweep strategy.
+        # (The AutoEval entry points are pinned in test_autoeval.)
+        apis = (simulation.run_driver, simulation.run_monolithic,
+                simulation.DesignTemplate.run, simulation.run_driver_batch,
+                simulation.run_monolithic_batch,
+                simulation.run_mutant_sweep, ScenarioValidator,
+                campaign.run_one, CampaignConfig)
+        removed = {"engine", "jobs", "sim_jobs", "mutant_engine"}
+        for api in apis:
+            parameters = set(inspect.signature(api).parameters)
+            assert not parameters & removed, api.__qualname__
 
     def test_set_root_context_type_checked(self):
         with pytest.raises(TypeError):
@@ -166,14 +173,10 @@ class TestEnvSeeding:
             "REPRO_SIM_ENGINE": "interpret",
             "REPRO_LEXER": "reference",
             "REPRO_JOBS": "3",
-            "REPRO_FUZZ_PROGRAMS": "17",
-            "REPRO_FUZZ_SEED": "42",
         })
         assert context == SimContext(
-            engine=ENGINE_INTERPRET, lexer=LEXER_REFERENCE, jobs=3,
-            fuzz_programs=17, fuzz_seed=42)
-        assert seeded == {"engine", "lexer", "jobs", "fuzz_programs",
-                          "fuzz_seed"}
+            engine=ENGINE_INTERPRET, lexer=LEXER_REFERENCE, jobs=3)
+        assert seeded == {"engine", "lexer", "jobs"}
 
     def test_invalid_lexer_warns_and_falls_back(self, capsys):
         context, seeded = _context_from_env({"REPRO_LEXER": "treebank"})
@@ -196,13 +199,6 @@ class TestEnvSeeding:
         context, seeded = _context_from_env({"REPRO_JOBS": "0"})
         assert context.jobs == (os.cpu_count() or 1)
         assert "jobs" in seeded
-
-    def test_malformed_fuzz_budget_warns(self, capsys):
-        context, seeded = _context_from_env(
-            {"REPRO_FUZZ_PROGRAMS": "lots"})
-        assert context.fuzz_programs == SimContext().fuzz_programs
-        assert not seeded
-        assert "REPRO_FUZZ_PROGRAMS" in capsys.readouterr().err
 
     def test_warm_start_knobs_seed(self):
         context, seeded = _context_from_env({
@@ -348,12 +344,13 @@ class TestWorkerIsolation:
         # they fell back to their own root context the runs would
         # succeed.  (max_time starves reliably on both engines; the
         # compiled engine only charges max_stmts at loop back-edges.)
-        with use_context(max_time=1):
-            runs = run_driver_batch(driver, [dut, dut + " // v2"], jobs=2)
+        with use_context(max_time=1, jobs=2):
+            runs = run_driver_batch(driver, [dut, dut + " // v2"])
         assert all(run.status == RUNTIME for run in runs)
         # Outside the activation the same batch is healthy again, on
         # the same (persistent) workers.
-        runs = run_driver_batch(driver, [dut, dut + " // v2"], jobs=2)
+        with use_context(jobs=2):
+            runs = run_driver_batch(driver, [dut, dut + " // v2"])
         assert all(run.ok for run in runs)
 
     def test_serial_runs_do_not_leak_limits(self):
@@ -375,9 +372,10 @@ class TestCacheRegistry:
                                   "failure", "programs", "union",
                                   "llm_responses")
 
-    def test_stats_shape_matches_legacy_helper(self):
-        assert simulation_cache_stats() == caches.stats()
-        assert set(caches.stats()) == set(caches.names())
+    def test_stats_keys_follow_registration_order(self):
+        # Traces and benches read this shape: one entry per
+        # stats-capable layer, in registration order.
+        assert tuple(caches.stats()) == caches.names()
 
     def test_selective_clear(self):
         registry = CacheRegistry()

@@ -12,9 +12,9 @@ import pytest
 import repro.core.simulation as sim
 from repro.core.simulation import RUNTIME, run_driver, run_monolithic
 from repro.hdl import simulate
-from repro.hdl.context import _context_from_env
-from repro.hdl.simulator import (ENGINE_COMPILED, ENGINE_INTERPRET,
-                                 get_default_engine, set_default_engine)
+from repro.hdl.context import (ENGINE_COMPILED, ENGINE_INTERPRET,
+                               _context_from_env, current_context,
+                               use_context)
 
 FINISH_IN_COMB = """
 module tb;
@@ -108,19 +108,17 @@ class TestEngineSelectionFallback:
         with pytest.raises(ValueError):
             simulate(self_checking_src(), "tb", engine="quantum")
         with pytest.raises(ValueError):
-            set_default_engine("quantum")
+            with use_context(engine="quantum"):
+                pass
 
     def test_default_engine_roundtrip_after_fallback(self):
-        # The legacy shim pair still works, warning on the setter.
-        original = get_default_engine()
-        try:
-            with pytest.deprecated_call():
-                set_default_engine(ENGINE_INTERPRET)
+        # An activation selects the engine and restores the default on
+        # exit.
+        original = current_context().engine
+        with use_context(engine=ENGINE_INTERPRET):
             result = simulate(self_checking_src(), "tb")
-            assert result.finished
-        finally:
-            with pytest.deprecated_call():
-                set_default_engine(original)
+        assert result.finished
+        assert current_context().engine == original
 
 
 def self_checking_src() -> str:

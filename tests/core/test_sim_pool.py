@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.codegen import render_driver
-from repro.core.simulation import (clear_simulation_caches, get_sim_pool,
-                                   run_driver_batch, shutdown_sim_pool,
-                                   sim_pool_info)
+from repro.core.caches import caches
+from repro.core.simulation import (get_sim_pool, run_driver_batch,
+                                   shutdown_sim_pool, sim_pool_info)
 from repro.hdl import use_context
 from repro.problems import get_task
 
@@ -37,12 +37,14 @@ class TestPoolLifecycle:
         shutdown_sim_pool()
         driver, duts = _driver_and_duts()
 
-        runs1 = run_driver_batch(driver, duts, jobs=2)
+        with use_context(jobs=2):
+            runs1 = run_driver_batch(driver, duts)
         info1 = sim_pool_info()
         assert all(run.ok for run in runs1)
         assert info1["alive"] and info1["pids"]
 
-        runs2 = run_driver_batch(driver, list(reversed(duts)), jobs=2)
+        with use_context(jobs=2):
+            runs2 = run_driver_batch(driver, list(reversed(duts)))
         info2 = sim_pool_info()
         assert all(run.ok for run in runs2)
         assert info2["pids"] == info1["pids"]
@@ -65,7 +67,8 @@ class TestPoolLifecycle:
         assert not sim_pool_info()["alive"]
         # And the pool comes back after a shutdown.
         driver, duts = _driver_and_duts()
-        runs = run_driver_batch(driver, duts, jobs=2)
+        with use_context(jobs=2):
+            runs = run_driver_batch(driver, duts)
         assert all(run.ok for run in runs)
         assert sim_pool_info()["alive"]
 
@@ -79,8 +82,10 @@ class TestPoolLifecycle:
 
     def test_batch_results_match_serial(self):
         driver, duts = _driver_and_duts()
-        serial = run_driver_batch(driver, duts, jobs=1)
-        pooled = run_driver_batch(driver, duts, jobs=2)
+        with use_context(jobs=1):
+            serial = run_driver_batch(driver, duts)
+        with use_context(jobs=2):
+            pooled = run_driver_batch(driver, duts)
         assert [r.status for r in serial] == [r.status for r in pooled]
         assert [[rec.values for rec in r.records] for r in serial] \
             == [[rec.values for rec in r.records] for r in pooled]
@@ -90,7 +95,8 @@ class TestStartMethodAndWarmStart:
     def test_default_pool_reports_platform_method(self):
         shutdown_sim_pool()
         driver, duts = _driver_and_duts()
-        run_driver_batch(driver, duts, jobs=1)  # warm the parent
+        with use_context(jobs=1):
+            run_driver_batch(driver, duts)  # warm the parent
         get_sim_pool(1)
         info = sim_pool_info()
         assert info["start_method"] == multiprocessing.get_start_method()
@@ -105,14 +111,15 @@ class TestStartMethodAndWarmStart:
         otherwise campaigns that pre-warm after an early batch would
         keep cold workers forever."""
         driver, duts = _driver_and_duts()
-        clear_simulation_caches()
+        caches.clear()
         shutdown_sim_pool()
         with use_context(start_method="spawn"):
             cold_pool = get_sim_pool(2)
             assert sim_pool_info()["warm"] == "cold"
             # Parent warms up after the pool exists (e.g. a serial run
             # or a campaign pre-warm)...
-            run_driver_batch(driver, duts, jobs=1)
+            with use_context(jobs=1):
+                run_driver_batch(driver, duts)
             # ...so the next warm-requesting lookup recreates the pool
             # with the snapshot on board — exactly once.
             warm_pool = get_sim_pool(2)
@@ -144,10 +151,11 @@ class TestStartMethodAndWarmStart:
         """The acceptance equivalence: one batch through a spawn-started
         pool returns exactly what the (default) fork path returns."""
         driver, duts = _driver_and_duts()
-        serial = run_driver_batch(driver, duts, jobs=1)
+        with use_context(jobs=1):
+            serial = run_driver_batch(driver, duts)
         shutdown_sim_pool()
-        with use_context(start_method="spawn"):
-            spawned = run_driver_batch(driver, duts, jobs=2)
+        with use_context(start_method="spawn", jobs=2):
+            spawned = run_driver_batch(driver, duts)
             info = sim_pool_info()
         assert info["start_method"] == "spawn"
         assert [r.status for r in spawned] == [r.status for r in serial]
@@ -159,7 +167,8 @@ class TestStartMethodAndWarmStart:
         driver, duts = _driver_and_duts()
         shutdown_sim_pool()
         # Warm the parent first so there is something to snapshot.
-        run_driver_batch(driver, duts, jobs=1)
+        with use_context(jobs=1):
+            run_driver_batch(driver, duts)
         with use_context(start_method="spawn"):
             get_sim_pool(2)
             info = sim_pool_info()
@@ -171,16 +180,17 @@ class TestStartMethodAndWarmStart:
     def test_warm_start_off_means_cold_spawn_pool(self):
         driver, duts = _driver_and_duts()
         shutdown_sim_pool()
-        run_driver_batch(driver, duts, jobs=1)
-        with use_context(start_method="spawn", warm_start=False):
-            runs = run_driver_batch(driver, duts, jobs=2)
+        with use_context(jobs=1):
+            run_driver_batch(driver, duts)
+        with use_context(start_method="spawn", warm_start=False, jobs=2):
+            runs = run_driver_batch(driver, duts)
             info = sim_pool_info()
         assert all(run.ok for run in runs)
         assert info["warm"] == "cold" and info["warm_layers"] == {}
         shutdown_sim_pool()
 
     def test_cold_parent_spawn_pool_reports_cold(self):
-        clear_simulation_caches()
+        caches.clear()
         shutdown_sim_pool()
         with use_context(start_method="spawn"):
             get_sim_pool(1)
@@ -195,12 +205,14 @@ def test_atexit_shutdown_is_clean():
     code = (
         "from repro.codegen import render_driver\n"
         "from repro.core.simulation import run_driver_batch\n"
+        "from repro.hdl import SimContext\n"
         "from repro.problems import get_task\n"
         "task = get_task('cmb_eq4')\n"
         "driver = render_driver(task, task.canonical_scenarios())\n"
         "golden = task.golden_rtl()\n"
         "variant = golden.replace('endmodule', '\\n//v\\nendmodule')\n"
-        "runs = run_driver_batch(driver, [golden, variant], jobs=2)\n"
+        "runs = run_driver_batch(driver, [golden, variant],\n"
+        "                        context=SimContext(jobs=2))\n"
         "assert all(run.ok for run in runs)\n"
         "print('POOL_OK')\n"
     )

@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.core.caches import caches
 from repro.core.simulation import (ELABORATION, OK, RUNTIME, SYNTAX,
                                    design_template, dut_compiles,
-                                   get_default_engine, parse_cached,
-                                   parse_dump, run_driver,
+                                   parse_cached, parse_dump, run_driver,
                                    run_driver_batch, run_monolithic,
-                                   run_monolithic_batch,
-                                   set_default_engine,
-                                   simulation_cache_stats, syntax_ok)
+                                   run_monolithic_batch, syntax_ok)
+from repro.hdl import use_context
 from repro.codegen import render_driver
 from repro.problems import get_task
 
@@ -146,18 +145,18 @@ endmodule
         assert second.sim_time == first.sim_time
 
     def test_engine_default_roundtrip(self):
-        # Legacy shims: the setter warns and steers the root context;
-        # the getter resolves through the active context.
-        original = get_default_engine()
-        try:
-            with pytest.deprecated_call():
-                set_default_engine("interpret")
-            assert get_default_engine() == "interpret"
-            with pytest.raises(ValueError):
-                set_default_engine("quantum")
-        finally:
-            with pytest.deprecated_call():
-                set_default_engine(original)
+        # A template run takes its engine from the active context; both
+        # engines replay the same cached template identically.
+        src = ("module tb; initial begin $display(\"ok\"); $finish; end "
+               "endmodule")
+        template = design_template(src, "tb")
+        with use_context(engine="interpret"):
+            interpreted = template.run()
+        compiled = template.run()
+        assert interpreted.stdout == compiled.stdout == ["ok"]
+        with pytest.raises(ValueError):
+            with use_context(engine="quantum"):
+                template.run()
 
 
 class TestBatchApis:
@@ -179,9 +178,9 @@ class TestBatchApis:
 
     def test_batch_dedups_identical_duts(self):
         driver, golden, _ = self._driver_and_duts()
-        before = simulation_cache_stats()["pair"]
+        before = caches.stats()["pair"]
         runs = run_driver_batch(driver, [golden, golden, golden])
-        after = simulation_cache_stats()["pair"]
+        after = caches.stats()["pair"]
         assert len(runs) == 3
         assert all(run.ok for run in runs)
         # Only one unique (driver, dut) elaboration can have been added.
@@ -189,8 +188,10 @@ class TestBatchApis:
 
     def test_batch_engine_override(self):
         driver, golden, _ = self._driver_and_duts()
-        interp = run_driver_batch(driver, [golden], engine="interpret")
-        compiled = run_driver_batch(driver, [golden], engine="compiled")
+        with use_context(engine="interpret"):
+            interp = run_driver_batch(driver, [golden])
+        with use_context(engine="compiled"):
+            compiled = run_driver_batch(driver, [golden])
         assert interp[0].ok and compiled[0].ok
         assert [rec.values for rec in interp[0].records] \
             == [rec.values for rec in compiled[0].records]

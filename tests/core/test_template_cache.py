@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.simulation as sim
-from repro.core.caches import use_task_scope
-from repro.core.simulation import (ELABORATION, clear_simulation_caches,
-                                   design_template, run_driver,
-                                   simulation_cache_stats)
+from repro.core.caches import caches, use_task_scope
+from repro.core.simulation import ELABORATION, design_template, run_driver
 from repro.codegen import render_driver
 from repro.hdl import use_context
 from repro.hdl.errors import ElaborationError, VerilogSyntaxError
@@ -34,10 +32,10 @@ def _front_end_must_not_run(*args, **kwargs):
 
 class TestFailureCaching:
     def test_elaboration_failure_cached_with_fidelity(self, monkeypatch):
-        clear_simulation_caches()
+        caches.clear()
         with pytest.raises(ElaborationError) as first:
             design_template(BAD_ELAB, "m")
-        hits_before = simulation_cache_stats()["failure"]["hits"]
+        hits_before = caches.stats()["failure"]["hits"]
 
         # The recorded failure must re-raise without re-elaborating.
         monkeypatch.setattr(sim, "elaborate", _front_end_must_not_run)
@@ -45,11 +43,11 @@ class TestFailureCaching:
             design_template(BAD_ELAB, "m")
         assert type(second.value) is type(first.value)
         assert str(second.value) == str(first.value)
-        assert simulation_cache_stats()["failure"]["hits"] \
+        assert caches.stats()["failure"]["hits"] \
             == hits_before + 1
 
     def test_syntax_failure_cached(self, monkeypatch):
-        clear_simulation_caches()
+        caches.clear()
         with pytest.raises(VerilogSyntaxError) as first:
             design_template(BAD_SYNTAX, "m")
         monkeypatch.setattr(sim, "parse_cached", _front_end_must_not_run)
@@ -62,7 +60,7 @@ class TestFailureCaching:
         """The cached exception instance is shared across hits; each
         re-raise must shed the previous traceback instead of chaining
         frames forever (a hit-proportional memory leak otherwise)."""
-        clear_simulation_caches()
+        caches.clear()
         depths = []
         for _ in range(5):
             try:
@@ -81,7 +79,7 @@ class TestFailureCaching:
     def test_source_change_invalidates(self):
         """A fixed source is a new key: the failure for the broken text
         must not shadow the corrected design."""
-        clear_simulation_caches()
+        caches.clear()
         with pytest.raises(ElaborationError):
             design_template(BAD_ELAB, "m")
         template = design_template(GOOD, "m")
@@ -89,12 +87,12 @@ class TestFailureCaching:
         assert result.design.signal("o").value.to_uint() == 0
 
     def test_clear_drops_cached_failures(self, monkeypatch):
-        clear_simulation_caches()
+        caches.clear()
         with pytest.raises(ElaborationError):
             design_template(BAD_ELAB, "m")
-        assert simulation_cache_stats()["failure"]["size"] == 1
-        clear_simulation_caches()
-        assert simulation_cache_stats()["failure"]["size"] == 0
+        assert caches.stats()["failure"]["size"] == 1
+        caches.clear()
+        assert caches.stats()["failure"]["size"] == 0
         # After clearing, the front end genuinely re-runs.
         with pytest.raises(ElaborationError):
             design_template(BAD_ELAB, "m")
@@ -102,7 +100,7 @@ class TestFailureCaching:
     def test_pair_failures_cached_through_run_driver(self):
         """Non-elaborating mutants in a sweep hit the failure cache on
         every run after the first, with an identical detail string."""
-        clear_simulation_caches()
+        caches.clear()
         task = get_task("cmb_eq4")
         driver = render_driver(task, task.canonical_scenarios())
         bad_dut = ("module top_module(input x, output y);\n"
@@ -110,11 +108,11 @@ class TestFailureCaching:
                    "endmodule")
         first = run_driver(driver, bad_dut)
         assert first.status == ELABORATION
-        hits_before = simulation_cache_stats()["failure"]["hits"]
+        hits_before = caches.stats()["failure"]["hits"]
         second = run_driver(driver, bad_dut)
         assert second.status == ELABORATION
         assert second.detail == first.detail
-        assert simulation_cache_stats()["failure"]["hits"] > hits_before
+        assert caches.stats()["failure"]["hits"] > hits_before
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +129,7 @@ def _tiny_src(index: int) -> str:
 
 
 def test_eviction_order_is_lru():
-    clear_simulation_caches()
+    caches.clear()
     first = design_template(_tiny_src(0), "m")
     for index in range(1, LRU_SIZE + 1):
         design_template(_tiny_src(index), "m")
@@ -149,7 +147,7 @@ def test_lru_agrees_with_model(accesses):
     """Random access sequences against an explicit LRU model: a key the
     model still holds must return the identical template object; the
     model mirrors lru_cache's move-to-front-on-hit policy exactly."""
-    clear_simulation_caches()
+    caches.clear()
     model: OrderedDict = OrderedDict()
     for index in accesses:
         expected = model.get(index)
@@ -162,7 +160,7 @@ def test_lru_agrees_with_model(accesses):
             model[index] = template
             if len(model) > LRU_SIZE:
                 model.popitem(last=False)
-    assert simulation_cache_stats()["design"]["size"] <= LRU_SIZE
+    assert caches.stats()["design"]["size"] <= LRU_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +170,7 @@ class TestCapacityKnob:
     def test_template_cache_size_applies(self):
         """``SimContext.template_cache_size`` bounds the active scope's
         bucket: a tiny capacity evicts at the knob, not at 256."""
-        clear_simulation_caches()
+        caches.clear()
         with use_context(template_cache_size=2):
             first = design_template(_tiny_src(0), "m")
             design_template(_tiny_src(1), "m")
@@ -191,7 +189,7 @@ class TestTaskScoping:
         """A mutant flood in one task's scope must not evict another
         task's warm templates — the open-item scenario (156 tasks x
         mutants x judges interleaved by a campaign)."""
-        clear_simulation_caches()
+        caches.clear()
         with use_context(template_cache_size=2):
             with use_task_scope("task-a"):
                 kept0 = design_template(_tiny_src(0), "m")
@@ -204,25 +202,25 @@ class TestTaskScoping:
                 assert design_template(_tiny_src(1), "m") is kept1
 
     def test_same_key_distinct_per_scope(self):
-        clear_simulation_caches()
+        caches.clear()
         with use_task_scope("task-a"):
             in_a = design_template(_tiny_src(0), "m")
         with use_task_scope("task-b"):
             in_b = design_template(_tiny_src(0), "m")
         assert in_a is not in_b
-        assert simulation_cache_stats()["design"]["scopes"] == 2
+        assert caches.stats()["design"]["scopes"] == 2
 
     def test_scope_bound_covers_full_dataset(self):
         """The outer scope LRU must hold at least the 156-task benchmark
         population, or a full-dataset campaign prewarm would evict its
         own earliest tasks before the pool ever snapshots them."""
         from repro.core.caches import DEFAULT_MAX_SCOPES
-        clear_simulation_caches()
+        caches.clear()
         assert DEFAULT_MAX_SCOPES >= 156
         for index in range(200):
             with use_task_scope(f"task-{index}"):
                 design_template(_tiny_src(index % 4), "m")
-        stats = simulation_cache_stats()["design"]
+        stats = caches.stats()["design"]
         assert stats["scopes"] == min(200, DEFAULT_MAX_SCOPES)
         # Churn past the bound retires whole scopes, oldest first.
         with use_task_scope("task-0"):
@@ -233,7 +231,7 @@ class TestTaskScoping:
         assert fresh is not None
 
     def test_default_scope_is_shared(self):
-        clear_simulation_caches()
+        caches.clear()
         template = design_template(_tiny_src(0), "m")
         with use_task_scope(None):
             assert design_template(_tiny_src(0), "m") is template
@@ -245,7 +243,7 @@ class TestGlobalBudget:
     alone admit ``capacity * max_scopes`` entries)."""
 
     def test_budget_sheds_cold_scopes(self):
-        clear_simulation_caches()
+        caches.clear()
         with use_context(template_cache_size=4,
                          template_cache_budget=5):
             with use_task_scope("cold"):
@@ -254,7 +252,7 @@ class TestGlobalBudget:
             with use_task_scope("warm"):
                 for index in range(2, 7):  # 4 resident + 2 cold > 5
                     design_template(_tiny_src(index), "m")
-            stats = simulation_cache_stats()["design"]
+            stats = caches.stats()["design"]
             assert stats["size"] <= 5
             assert stats["shed_scopes"] >= 1
             # The cold scope paid the cost; revisiting re-elaborates.
@@ -262,7 +260,7 @@ class TestGlobalBudget:
                 assert design_template(_tiny_src(0), "m") is not cold
 
     def test_inserting_scope_survives_shedding(self):
-        clear_simulation_caches()
+        caches.clear()
         with use_context(template_cache_size=8,
                          template_cache_budget=4):
             with use_task_scope("other"):
@@ -275,7 +273,7 @@ class TestGlobalBudget:
                 for index, template in enumerate(kept, start=1):
                     assert design_template(_tiny_src(index), "m") \
                         is template
-        stats = simulation_cache_stats()["design"]
+        stats = caches.stats()["design"]
         assert stats["scopes"] == 1
         assert stats["shed_scopes"] == 1
 
@@ -289,8 +287,8 @@ class TestGlobalBudget:
             == DEFAULT_TEMPLATE_CACHE_BUDGET
 
     def test_clear_resets_shed_counter(self):
-        clear_simulation_caches()
-        assert simulation_cache_stats()["design"]["shed_scopes"] == 0
+        caches.clear()
+        assert caches.stats()["design"]["shed_scopes"] == 0
 
 
 @settings(max_examples=5, deadline=None)
@@ -302,7 +300,7 @@ def test_scoped_lru_agrees_with_model(accesses):
     each scope behaves as its own move-to-front LRU at the context's
     capacity, and accesses in one scope never disturb another's."""
     capacity = 4
-    clear_simulation_caches()
+    caches.clear()
     model: dict = {}
     with use_context(template_cache_size=capacity):
         for scope, index in accesses:
@@ -318,7 +316,7 @@ def test_scoped_lru_agrees_with_model(accesses):
                 bucket[index] = template
                 if len(bucket) > capacity:
                     bucket.popitem(last=False)
-    stats = simulation_cache_stats()["design"]
+    stats = caches.stats()["design"]
     assert stats["size"] == sum(len(b) for b in model.values())
     assert stats["scopes"] == len(model)
 
@@ -344,7 +342,7 @@ def test_concurrent_checkouts_are_isolated():
     """Many threads re-running the same (and a second) template must
     each observe a full, uncontaminated run: the template's stamped
     state never leaks between checkouts."""
-    clear_simulation_caches()
+    caches.clear()
     template_a = design_template(STATEFUL_TB, "tb")
     template_b = design_template(STATEFUL_TB.replace("5", "3"), "tb")
     ref_a = template_a.run()

@@ -185,16 +185,17 @@ class TestEvalEdgeCases:
         tb = golden_tb(task)
         with use_context(mutant_engine=engine):
             default = evaluate_hybrid(tb)
-            serial = evaluate_hybrid(tb, sim_jobs=1)
-            pooled = evaluate_hybrid(tb, sim_jobs=2)
+            with use_context(jobs=1):
+                serial = evaluate_hybrid(tb)
+            with use_context(jobs=2):
+                pooled = evaluate_hybrid(tb)
         assert default == serial == pooled
 
 
 def test_sim_jobs_defaults_resolve_through_context():
-    # Satellite fix: `sim_jobs=1` hard-coded serial execution; None now
-    # defers to SimContext.jobs resolution inside the batch APIs.
+    # The sweep worker count has one source, SimContext.jobs: no
+    # grading API takes a per-call override.
     for fn in (evaluate, evaluate_hybrid, evaluate_monolithic,
                hybrid_verdicts_batch):
         parameters = inspect.signature(fn).parameters
-        name = "sim_jobs" if "sim_jobs" in parameters else "jobs"
-        assert parameters[name].default is None, fn.__name__
+        assert not {"jobs", "sim_jobs"} & set(parameters), fn.__name__

@@ -27,18 +27,17 @@ The corpus is deterministic under a fixed seed.  Budget knobs:
 - ``REPRO_FUZZ_SEED`` — base seed.
 """
 
+import os
 import random
 
 import pytest
 
-from repro.hdl import current_context, simulate
+from repro.hdl import simulate, use_context
 from repro.hdl.compile import clear_program_cache, program_cache_stats
 from repro.hdl.errors import HdlError
 
-# Budget knobs ride on the root SimContext (seeded from
-# REPRO_FUZZ_PROGRAMS / REPRO_FUZZ_SEED at import).
-N_PROGRAMS = current_context().fuzz_programs
-BASE_SEED = current_context().fuzz_seed
+N_PROGRAMS = int(os.environ.get("REPRO_FUZZ_PROGRAMS", "200"))
+BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "1729"))
 MAX_TIME = 100_000
 MAX_STMTS = 400_000
 
@@ -408,10 +407,10 @@ def test_lockstep_sweep_matches_per_mutant(index):
     mutants = [mutant.source
                for mutant in generate_mutants(dut, _N_MUTANTS, seed)]
 
-    lockstep = run_mutant_sweep(driver, mutants, golden_src=dut,
-                                mutant_engine="lockstep")
-    per_mutant = run_mutant_sweep(driver, mutants, golden_src=dut,
-                                  mutant_engine="per-mutant")
+    with use_context(mutant_engine="lockstep"):
+        lockstep = run_mutant_sweep(driver, mutants, golden_src=dut)
+    with use_context(mutant_engine="per-mutant"):
+        per_mutant = run_mutant_sweep(driver, mutants, golden_src=dut)
 
     assert per_mutant.engine == "per-mutant"
     for k, (ls_run, pm_run) in enumerate(zip(lockstep.runs,

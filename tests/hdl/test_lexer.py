@@ -8,8 +8,8 @@ fixture; cross-implementation equivalence at scale lives in
 
 import pytest
 
+from repro.hdl.context import LEXERS
 from repro.hdl.errors import VerilogSyntaxError
-from repro.hdl.lexer import LEXERS
 from repro.hdl.lexer import tokenize as lexer_tokenize
 from repro.hdl.tokens import TokenKind
 

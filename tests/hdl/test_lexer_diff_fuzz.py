@@ -22,23 +22,22 @@ sizes the soup corpus (default 200; the nightly long-fuzz job raises
 it), ``REPRO_FUZZ_SEED`` fixes the base seed so failures reproduce.
 """
 
+import os
 import random
 
 import pytest
 
-from repro.hdl.context import current_context, use_context
+from repro.core.caches import caches
+from repro.hdl.context import (LEXER_MASTER, LEXER_REFERENCE, LEXERS,
+                               current_context, root_context,
+                               set_root_context, use_context)
 from repro.hdl.errors import VerilogSyntaxError
-from repro.hdl.lexer import (LEXER_MASTER, LEXER_REFERENCE, LEXERS,
-                             clear_tokenize_cache, get_default_lexer,
-                             set_default_lexer, tokenize, tokenize_cache_stats,
-                             tokenize_cached)
+from repro.hdl.lexer import tokenize, tokenize_cached
 from repro.hdl.tokens import KEYWORDS, PUNCTUATIONS, TokenKind
 from repro.problems import load_dataset
 
-# Budget knobs ride on the root SimContext (seeded from
-# REPRO_FUZZ_PROGRAMS / REPRO_FUZZ_SEED at import).
-N_SOUPS = current_context().fuzz_programs
-BASE_SEED = current_context().fuzz_seed
+N_SOUPS = int(os.environ.get("REPRO_FUZZ_PROGRAMS", "200"))
+BASE_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "1729"))
 
 
 def lex_outcome(source: str, lexer: str):
@@ -270,34 +269,26 @@ def test_based_literal_giveback(lexer):
 # Knob + cache behaviour
 # ----------------------------------------------------------------------
 def test_default_lexer_knob_roundtrip():
-    # Legacy shim: the setter warns and steers the root context; the
-    # getter resolves through the active context.
-    previous = get_default_lexer()
+    # Process setup steers the root context's lexer; restoring the
+    # root restores the default.
+    previous = root_context()
     try:
-        with pytest.deprecated_call():
-            set_default_lexer(LEXER_REFERENCE)
-        assert get_default_lexer() == LEXER_REFERENCE
+        set_root_context(previous.evolve(lexer=LEXER_REFERENCE))
+        assert current_context().lexer == LEXER_REFERENCE
         assert tokenize("a b")[0].text == "a"
-        with pytest.deprecated_call():
-            set_default_lexer(LEXER_MASTER)
-        assert get_default_lexer() == LEXER_MASTER
+        set_root_context(previous.evolve(lexer=LEXER_MASTER))
+        assert current_context().lexer == LEXER_MASTER
     finally:
-        with pytest.deprecated_call():
-            set_default_lexer(previous)
+        set_root_context(previous)
 
 
 def test_use_context_selects_lexer():
-    # The context-native path: no global mutation, no warning.
-    assert get_default_lexer() == current_context().lexer
+    # The request-scoped path: no global mutation.
+    outer = current_context().lexer
     with use_context(lexer=LEXER_REFERENCE):
-        assert get_default_lexer() == LEXER_REFERENCE
+        assert current_context().lexer == LEXER_REFERENCE
         assert tokenize("a b")[0].text == "a"
-    assert get_default_lexer() == current_context().lexer
-
-
-def test_set_default_lexer_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_default_lexer("treebank")
+    assert current_context().lexer == outer
 
 
 def test_tokenize_rejects_unknown_explicit_lexer():
@@ -307,13 +298,13 @@ def test_tokenize_rejects_unknown_explicit_lexer():
 
 
 def test_tokenize_cache_shares_streams_per_lexer():
-    clear_tokenize_cache()
+    caches.clear("tokenize")
     try:
         with use_context(lexer=LEXER_MASTER):
             first = tokenize_cached("assign y = a + b;")
             again = tokenize_cached("assign y = a + b;")
             assert first is again  # same stream object on a hit
-            stats = tokenize_cache_stats()
+            stats = caches.stats("tokenize")["tokenize"]
             assert stats["hits"] >= 1 and stats["misses"] >= 1
 
         # Flipping the lexer must not serve the other lexer's stream.
@@ -323,13 +314,13 @@ def test_tokenize_cache_shares_streams_per_lexer():
         assert [(t.kind, t.text) for t in reference] == \
             [(t.kind, t.text) for t in first]
     finally:
-        clear_tokenize_cache()
+        caches.clear("tokenize")
 
 
 def test_tokenize_cache_does_not_cache_errors():
-    clear_tokenize_cache()
+    caches.clear("tokenize")
     for _ in range(2):
         with pytest.raises(VerilogSyntaxError):
             tokenize_cached("x = 4'q1;")
-    stats = tokenize_cache_stats()
+    stats = caches.stats("tokenize")["tokenize"]
     assert stats["hits"] == 0

@@ -14,9 +14,9 @@ import pytest
 
 from repro.codegen.driver import DUMP_FILE
 from repro.core.caches import caches
-from repro.core.simulation import (MUTANT_LOCKSTEP, MUTANT_PER_MUTANT,
-                                   run_driver, run_mutant_sweep)
-from repro.hdl import simulate, use_context
+from repro.core.simulation import run_driver, run_mutant_sweep
+from repro.hdl import (MUTANT_LOCKSTEP, MUTANT_PER_MUTANT, SimContext,
+                       simulate, use_context)
 from repro.hdl.lockstep import (GROUP_DELIM, LANE_DELIM,
                                 LockstepUnsupported, build_union,
                                 demux_lines, lane_suffix)
@@ -168,10 +168,10 @@ class TestDemuxLines:
 class TestRunMutantSweep:
     def test_engines_agree(self):
         mutants = [MUT_XOR, MUT_AND, MUT_SAME]
-        lockstep = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                                    mutant_engine=MUTANT_LOCKSTEP)
-        per_mutant = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                                      mutant_engine=MUTANT_PER_MUTANT)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            lockstep = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
+        with use_context(mutant_engine=MUTANT_PER_MUTANT):
+            per_mutant = run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
         assert lockstep.engine == MUTANT_LOCKSTEP
         assert not lockstep.fallback_reason
         assert per_mutant.engine == MUTANT_PER_MUTANT
@@ -187,9 +187,9 @@ class TestRunMutantSweep:
         assert sweep.retire_rounds == [1, 0, None]
 
     def test_duplicate_lanes_share_one_simulation(self):
-        sweep = run_mutant_sweep(DRIVER, [MUT_XOR, MUT_XOR, GOLDEN],
-                                 golden_src=GOLDEN,
-                                 mutant_engine=MUTANT_LOCKSTEP)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            sweep = run_mutant_sweep(DRIVER, [MUT_XOR, MUT_XOR, GOLDEN],
+                                     golden_src=GOLDEN)
         assert sweep.engine == MUTANT_LOCKSTEP
         assert sweep.runs[0].records == sweep.runs[1].records
         assert sweep.runs[2].records == sweep.golden.records
@@ -198,8 +198,8 @@ class TestRunMutantSweep:
     def test_fallback_on_unsupported_driver(self):
         driver = DRIVER.replace("$finish;",
                                 '$display("done"); $finish;')
-        sweep = run_mutant_sweep(driver, [MUT_XOR], golden_src=GOLDEN,
-                                 mutant_engine=MUTANT_LOCKSTEP)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            sweep = run_mutant_sweep(driver, [MUT_XOR], golden_src=GOLDEN)
         assert sweep.engine == MUTANT_PER_MUTANT
         assert "LockstepUnsupported" in sweep.fallback_reason
         assert "$display" in sweep.fallback_reason
@@ -207,8 +207,8 @@ class TestRunMutantSweep:
         assert sweep.retire_rounds == [1]
 
     def test_fallback_reason_empty_when_requested(self):
-        sweep = run_mutant_sweep(DRIVER, [MUT_XOR],
-                                 mutant_engine=MUTANT_PER_MUTANT)
+        with use_context(mutant_engine=MUTANT_PER_MUTANT):
+            sweep = run_mutant_sweep(DRIVER, [MUT_XOR])
         assert sweep.engine == MUTANT_PER_MUTANT
         assert not sweep.fallback_reason
 
@@ -216,15 +216,17 @@ class TestRunMutantSweep:
         with use_context(mutant_engine=MUTANT_PER_MUTANT):
             sweep = run_mutant_sweep(DRIVER, [MUT_XOR])
         assert sweep.engine == MUTANT_PER_MUTANT
-        # The explicit argument beats the active context.
+        # An explicit context beats the active one.
         with use_context(mutant_engine=MUTANT_PER_MUTANT):
-            sweep = run_mutant_sweep(DRIVER, [MUT_XOR],
-                                     mutant_engine=MUTANT_LOCKSTEP)
+            sweep = run_mutant_sweep(
+                DRIVER, [MUT_XOR],
+                context=SimContext(mutant_engine=MUTANT_LOCKSTEP))
         assert sweep.engine == MUTANT_LOCKSTEP
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="mutant_engine"):
-            run_mutant_sweep(DRIVER, [MUT_XOR], mutant_engine="schemata")
+            with use_context(mutant_engine="schemata"):
+                run_mutant_sweep(DRIVER, [MUT_XOR])
 
     def test_monolithic_always_per_mutant(self):
         tb = """
@@ -241,9 +243,9 @@ module tb();
     end
 endmodule
 """
-        sweep = run_mutant_sweep(tb, [GOLDEN, MUT_XOR],
-                                 kind="monolithic",
-                                 mutant_engine=MUTANT_LOCKSTEP)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            sweep = run_mutant_sweep(tb, [GOLDEN, MUT_XOR],
+                                     kind="monolithic")
         assert sweep.engine == MUTANT_PER_MUTANT
         assert "stdout" in sweep.fallback_reason
         assert [run.verdict for run in sweep.runs] == [True, False]
@@ -260,19 +262,19 @@ endmodule
 
     def test_union_template_cached(self):
         mutants = [MUT_XOR, MUT_AND]
-        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                         mutant_engine=MUTANT_LOCKSTEP)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
         before = caches.stats()["union"]
-        run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN,
-                         mutant_engine=MUTANT_LOCKSTEP)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            run_mutant_sweep(DRIVER, mutants, golden_src=GOLDEN)
         after = caches.stats()["union"]
         assert after["hits"] > before["hits"]
 
     def test_syntax_broken_mutant_falls_back(self):
         broken = GOLDEN.replace("endmodule", "")
-        sweep = run_mutant_sweep(DRIVER, [MUT_XOR, broken],
-                                 golden_src=GOLDEN,
-                                 mutant_engine=MUTANT_LOCKSTEP)
+        with use_context(mutant_engine=MUTANT_LOCKSTEP):
+            sweep = run_mutant_sweep(DRIVER, [MUT_XOR, broken],
+                                     golden_src=GOLDEN)
         assert sweep.engine == MUTANT_PER_MUTANT
         assert sweep.fallback_reason
         assert sweep.runs[0].ok

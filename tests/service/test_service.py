@@ -18,11 +18,11 @@ from contextlib import contextmanager
 import pytest
 
 from repro.codegen import render_driver
-from repro.core.simulation import (_pair_templates,
-                                   clear_simulation_caches, get_sim_pool,
+from repro.core.caches import caches
+from repro.core.simulation import (_pair_templates, get_sim_pool,
                                    run_driver_batch, shutdown_sim_pool,
                                    sim_pool_info)
-from repro.hdl import current_context
+from repro.hdl import current_context, use_context
 from repro.problems import get_task
 from repro.service import ServiceConfig, ServiceThread
 
@@ -180,13 +180,18 @@ class TestErrorSurface:
 
     def test_bad_engine_value_400(self):
         driver, dut = _fixture()
+        # A JSON boolean is not an integer budget (bool subclasses int
+        # in Python, so `true` once ran with max_stmts=1).
+        bad = ({"engine": "quantum"}, {"max_stmts": True},
+               {"max_time": True})
         with running_service() as service:
-            status, data, _ = _request(
-                service, "POST", "/v1/simulate",
-                {"driver": driver, "dut": dut,
-                 "context": {"engine": "quantum"}})
-        assert status == 400
-        assert data["error"]["code"] == "bad-context"
+            replies = [_request(service, "POST", "/v1/simulate",
+                                {"driver": driver, "dut": dut,
+                                 "context": context})
+                       for context in bad]
+        for context, (status, data, _) in zip(bad, replies):
+            assert status == 400, context
+            assert data["error"]["code"] == "bad-context", context
 
     def test_bad_kind_400(self):
         driver, dut = _fixture()
@@ -356,7 +361,8 @@ class TestPoolHealing:
         get_sim_pool(2)
         # Workers spawn lazily; run one warm-up batch so there is a
         # live worker to kill.
-        run_driver_batch(driver, [dut, variant], jobs=2)
+        with use_context(jobs=2):
+            run_driver_batch(driver, [dut, variant])
         victim = sim_pool_info()["pids"][0]
         os.kill(victim, signal.SIGKILL)
 
@@ -388,7 +394,7 @@ class TestPoolHealing:
 class TestTenantIsolation:
     def test_tenants_get_disjoint_cache_scopes(self):
         driver, dut = _fixture()
-        clear_simulation_caches()
+        caches.clear()
         with running_service() as service:
             for tenant in ("alpha", "beta"):
                 status, data, _ = _request(
@@ -406,7 +412,7 @@ class TestTenantIsolation:
         scopes = {scope for scope, _ in _pair_templates.export_keys()}
         assert {"tenant/alpha", "tenant/beta", "tenant/gamma"} <= scopes
         assert None in scopes  # anonymous requests share the base scope
-        clear_simulation_caches()
+        caches.clear()
 
 
 class TestBatchingCorrectness:
