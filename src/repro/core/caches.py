@@ -39,16 +39,11 @@ bucket, so eviction pressure stays within the task that caused it.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from ..util import LruCache as LruCache  # re-export: public cache API
@@ -213,81 +208,6 @@ class CacheRegistry:
 
 #: The process-wide registry; layers register themselves at import.
 caches = CacheRegistry()
-
-
-# ----------------------------------------------------------------------
-# Snapshot files (warm-start artifacts on disk)
-# ----------------------------------------------------------------------
-#: File magic for persisted snapshots; bumped with the on-disk format.
-_SNAPSHOT_MAGIC = b"repro-cachesnap-1\n"
-
-
-class SnapshotIntegrityError(RuntimeError):
-    """A persisted snapshot file failed verification (bad magic,
-    truncated payload, or a SHA-256 mismatch).  Raised instead of ever
-    importing suspect cache state."""
-
-
-def write_snapshot_file(snapshot: CacheSnapshot, path) -> int:
-    """Persist ``snapshot`` to ``path``; returns the bytes written.
-
-    The file carries a magic line, the SHA-256 of the pickled payload,
-    and the payload itself, and is written via tmp file + atomic
-    rename — a crash mid-write leaves the previous snapshot (or no
-    file), never a torn one.  :func:`read_snapshot_file` verifies the
-    digest before unpickling.
-    """
-    if not isinstance(snapshot, CacheSnapshot):
-        raise TypeError(f"expected a CacheSnapshot, got {snapshot!r}")
-    path = Path(path)
-    payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    data = _SNAPSHOT_MAGIC + digest + b"\n" + payload
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return len(data)
-
-
-def read_snapshot_file(path) -> CacheSnapshot:
-    """Load and verify a snapshot persisted by
-    :func:`write_snapshot_file`.
-
-    Raises :class:`FileNotFoundError` when ``path`` does not exist and
-    :class:`SnapshotIntegrityError` when the file fails verification —
-    a warm-start artifact is a hint, but a *corrupt* one must fail
-    loudly rather than silently poison every cache layer.
-    """
-    data = Path(path).read_bytes()
-    if not data.startswith(_SNAPSHOT_MAGIC):
-        raise SnapshotIntegrityError(
-            f"{path} is not a snapshot file (bad magic)")
-    rest = data[len(_SNAPSHOT_MAGIC):]
-    digest, sep, payload = rest.partition(b"\n")
-    if not sep:
-        raise SnapshotIntegrityError(f"{path} is truncated")
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-        raise SnapshotIntegrityError(
-            f"{path} failed its SHA-256 check (tampered or truncated)")
-    try:
-        snapshot = pickle.loads(payload)
-    except Exception as exc:
-        raise SnapshotIntegrityError(
-            f"{path} payload does not unpickle: {exc}") from exc
-    if not isinstance(snapshot, CacheSnapshot):
-        raise SnapshotIntegrityError(
-            f"{path} does not contain a CacheSnapshot "
-            f"(got {type(snapshot).__name__})")
-    return snapshot
 
 
 # ----------------------------------------------------------------------

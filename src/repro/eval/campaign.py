@@ -369,8 +369,9 @@ def run_campaign(config: CampaignConfig, progress=None, *,
         # Pre-warm the parent's caches from the task list, so the pool
         # created below ships (spawn) or forks (fork) warm state to its
         # workers instead of every worker rebuilding the same golden
-        # templates per item.
-        if context.warm_start:
+        # templates per item.  A store run already pre-warmed above,
+        # before saving its snapshot.
+        if context.warm_start and store is None:
             with use_context(context):
                 prewarm_campaign_caches(config.task_ids)
         # A killed worker breaks the shared executor, and a concurrent

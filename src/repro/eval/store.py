@@ -18,18 +18,19 @@ runs start warm, and shard workers can share one result set:
 - **Layout.**  ``blobs/<sha256>.json`` holds the canonical-JSON result
   payloads, content-addressed: the file name *is* the SHA-256 of the
   bytes, verified on every read.  ``entries/<key-digest>.json`` maps a
-  key digest to its blob (the durable truth — one file per entry, so
-  concurrent writers never contend on shared state).  ``manifest.json``
-  is a versioned index rebuilt from the entry files when torn, and
+  key digest to its blob — one file per entry, and the only record
+  that lookups and listings read.  ``manifest.json`` is a write-once
+  layout marker (``{"version": STORE_VERSION}``) checked on open, and
   ``snapshot.bin`` co-locates a :class:`~repro.core.caches.CacheSnapshot`
-  so resumed runs and shard workers boot with warm front-end caches.
+  (magic line, SHA-256, pickle) so resumed runs and shard workers boot
+  with warm front-end caches.
 
 - **Writes** go through tmp-file + :func:`os.replace` rename, so a
   SIGKILL at any point leaves either the old state or the new state on
-  disk — never a torn blob.  Two processes sharing a store race only
-  on the advisory manifest (last writer wins); their entry and blob
-  files land independently and :meth:`CampaignStore.keys` reads them
-  all.
+  disk — never a torn blob.  A put writes one blob (if absent) and one
+  entry file, whatever the store's size, so processes sharing a store
+  have no shared index to race on; :meth:`CampaignStore.keys` reads
+  every writer's entries.
 
 - **Integrity.**  A tampered, truncated, or dangling blob raises a
   typed :class:`StoreIntegrityError` at read time; the store never
@@ -46,18 +47,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import sys
 import tempfile
 from pathlib import Path
 
-from ..core.caches import (CacheSnapshot, SnapshotIntegrityError,
-                           read_snapshot_file, write_snapshot_file)
+from ..core.caches import CacheSnapshot
 from ..hdl.context import SimContext
 from .methods import TaskRun
 
 #: On-disk schema version; bumped when blob/entry/manifest shapes
 #: change so a stale store fails loudly instead of half-resuming.
 STORE_VERSION = 1
+
+#: File magic for ``snapshot.bin``; bumped with the snapshot file format.
+_SNAPSHOT_MAGIC = b"repro-cachesnap-1\n"
 
 #: SimContext fields that can change a campaign item's *result* (and
 #: therefore enter the store key).  Deliberately excludes operational
@@ -126,7 +130,7 @@ def store_key(method: str, task_id: str, seed: int, profile: str,
               context: SimContext) -> dict:
     """The addressing record for one campaign work item.
 
-    Plain JSON-able dict so keys travel in manifests and entry files
+    Plain JSON-able dict so keys travel in blob and entry files
     verbatim; :func:`key_digest` collapses one to a file name.
     """
     return {
@@ -169,12 +173,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
 class CampaignStore:
     """On-disk campaign result store rooted at ``root``.
 
-    Opening creates the layout if absent.  A manifest that fails to
-    parse (a torn write from a crashed process, or tampering) is
-    *recovered* by rebuilding the index from the entry files — with a
-    stderr warning — because entries, not the manifest, are the durable
-    truth; an entry or blob that fails verification raises
-    :class:`StoreIntegrityError` instead.
+    Opening creates the layout if absent and reads nothing but the
+    ``manifest.json`` version marker: a foreign version raises
+    :class:`StoreError`, and an unparseable marker (a torn write, or
+    tampering) is rewritten with a stderr warning — it holds no data,
+    the entry files do.  An entry, blob or snapshot that fails
+    verification raises :class:`StoreIntegrityError` instead.
     """
 
     def __init__(self, root):
@@ -190,67 +194,38 @@ class CampaignStore:
         self._puts = 0
         self._evictions = 0
         self._recovered_manifest = False
-        self._index = self._load_manifest()
+        self._check_manifest()
 
     # -- manifest ------------------------------------------------------
-    def _load_manifest(self) -> dict:
+    def _check_manifest(self) -> None:
         try:
-            raw = self._manifest_path.read_bytes()
+            # Older stores' manifests also carry ``count`` / ``entries``
+            # index fields; only ``version`` is read.
+            version = json.loads(self._manifest_path.read_bytes())["version"]
         except FileNotFoundError:
-            return self._rebuild_index(write=False)
-        try:
-            manifest = json.loads(raw)
-            version = manifest["version"]
-            entries = manifest["entries"]
-            if not isinstance(entries, dict):
-                raise TypeError("entries is not an object")
+            self._write_manifest()
+            return
         except (ValueError, KeyError, TypeError) as exc:
-            # A torn manifest must never lose completed work: the entry
-            # files are the truth, so recover the index from them and
-            # say so loudly.
             print(f"warning: campaign store manifest "
                   f"{self._manifest_path} is unreadable ({exc}); "
-                  f"rebuilding from entry files", file=sys.stderr)
+                  f"rewriting it (entry files are unaffected)",
+                  file=sys.stderr)
             self._recovered_manifest = True
-            return self._rebuild_index(write=True)
+            self._write_manifest()
+            return
         if version != STORE_VERSION:
             raise StoreError(
                 f"campaign store {self.root} has manifest version "
                 f"{version!r}; this build reads {STORE_VERSION}")
-        return dict(entries)
 
-    def _rebuild_index(self, write: bool) -> dict:
-        index = {}
-        for path in sorted(self._entries.glob("*.json")):
-            entry = self._read_entry_file(path)
-            index[path.stem] = {"key": entry["key"], "blob": entry["blob"]}
-        self._index = index
-        if write:
-            self.flush_manifest()
-        return index
-
-    def flush_manifest(self) -> Path:
-        """Write the advisory index (atomic, last-writer-wins).
-
-        Entries from concurrent writers that this process never saw are
-        not lost — :meth:`keys` and :meth:`get` read the entry files —
-        the manifest only accelerates listings and ships in CI
-        artifacts."""
-        manifest = {"version": STORE_VERSION,
-                    "count": len(self._index),
-                    "entries": self._index}
+    def _write_manifest(self) -> None:
         _atomic_write(self._manifest_path,
-                      json.dumps(manifest, sort_keys=True,
-                                 indent=1).encode("utf-8") + b"\n")
-        return self._manifest_path
-
-    def manifest(self) -> dict:
-        """The current in-memory index: ``{digest: {key, blob}}``."""
-        return dict(self._index)
+                      json.dumps({"version": STORE_VERSION}).encode("utf-8")
+                      + b"\n")
 
     @property
     def recovered_manifest(self) -> bool:
-        """Did opening this store rebuild a torn manifest?"""
+        """Did opening this store rewrite an unreadable manifest?"""
         return self._recovered_manifest
 
     # -- entries and blobs ---------------------------------------------
@@ -345,9 +320,7 @@ class CampaignStore:
         entry = {"version": STORE_VERSION, "key": key, "blob": blob_sha}
         _atomic_write(self._entries / f"{digest}.json",
                       _canonical(entry))
-        self._index[digest] = {"key": key, "blob": blob_sha}
         self._puts += 1
-        self.flush_manifest()
         return blob_sha
 
     def evict(self, key: dict) -> bool:
@@ -358,14 +331,12 @@ class CampaignStore:
             (self._entries / f"{digest}.json").unlink()
         except FileNotFoundError:
             return False
-        self._index.pop(digest, None)
         self._evictions += 1
-        self.flush_manifest()
         return True
 
     def keys(self) -> tuple[dict, ...]:
-        """Every stored key, read from the entry files (sees concurrent
-        writers' entries the in-memory manifest missed)."""
+        """Every stored key, read from the entry files (including
+        entries concurrent writers landed)."""
         return tuple(self._read_entry_file(path)["key"]
                      for path in sorted(self._entries.glob("*.json")))
 
@@ -386,17 +357,45 @@ class CampaignStore:
     # -- co-located warm-start snapshot --------------------------------
     def save_snapshot(self, snapshot: CacheSnapshot) -> Path:
         """Persist a warm-start snapshot next to the results, so
-        resumed runs and shard workers boot with warm caches."""
-        write_snapshot_file(snapshot, self._snapshot_path)
+        resumed runs and shard workers boot with warm caches.  The file
+        is a magic line, the SHA-256 of the pickled payload, and the
+        payload; :meth:`load_snapshot` verifies the digest before
+        unpickling."""
+        if not isinstance(snapshot, CacheSnapshot):
+            raise TypeError(f"expected a CacheSnapshot, got {snapshot!r}")
+        payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        _atomic_write(self._snapshot_path,
+                      _SNAPSHOT_MAGIC + _sha256(payload).encode("ascii")
+                      + b"\n" + payload)
         return self._snapshot_path
 
     def load_snapshot(self) -> CacheSnapshot | None:
-        """The co-located snapshot, or ``None`` when absent.  A
-        tampered snapshot raises :class:`StoreIntegrityError` — a
-        warm-up artifact must fail loudly, not poison every cache."""
+        """The co-located snapshot, or ``None`` when absent.  Bad
+        magic, truncation, a SHA-256 mismatch, or a payload that is not
+        a pickled :class:`CacheSnapshot` raises
+        :class:`StoreIntegrityError` — a warm-up artifact must fail
+        loudly, not poison every cache."""
+        path = self._snapshot_path
         try:
-            return read_snapshot_file(self._snapshot_path)
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
-        except SnapshotIntegrityError as exc:
-            raise StoreIntegrityError(str(exc)) from exc
+        if not data.startswith(_SNAPSHOT_MAGIC):
+            raise StoreIntegrityError(
+                f"{path} is not a snapshot file (bad magic)")
+        digest, sep, payload = data[len(_SNAPSHOT_MAGIC):].partition(b"\n")
+        if not sep:
+            raise StoreIntegrityError(f"{path} is truncated")
+        if _sha256(payload).encode("ascii") != digest:
+            raise StoreIntegrityError(
+                f"{path} failed its SHA-256 check (tampered or truncated)")
+        try:
+            snapshot = pickle.loads(payload)
+        except Exception as exc:
+            raise StoreIntegrityError(
+                f"{path} payload does not unpickle: {exc}") from exc
+        if not isinstance(snapshot, CacheSnapshot):
+            raise StoreIntegrityError(
+                f"{path} does not contain a CacheSnapshot "
+                f"(got {type(snapshot).__name__})")
+        return snapshot

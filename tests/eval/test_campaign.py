@@ -329,6 +329,34 @@ class TestStoreResume:
         assert snapshot is not None and snapshot
         assert {"design", "pair"} <= set(snapshot.layers())
 
+    def test_parallel_campaign_prewarms_once(self, monkeypatch, tmp_path):
+        # A store run pre-warms before saving its snapshot; creating
+        # the pool must not pre-warm the same goldens a second time.
+        calls = []
+        prewarm = campaign_mod.prewarm_campaign_caches
+
+        def counting_prewarm(task_ids):
+            calls.append(tuple(task_ids))
+            return prewarm(task_ids)
+
+        class InlinePool:
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(campaign_mod, "prewarm_campaign_caches",
+                            counting_prewarm)
+        monkeypatch.setattr(campaign_mod, "get_sim_pool",
+                            lambda jobs, **kwargs: InlinePool())
+        config = default_config(task_ids=self.TASKS, seeds=(0,),
+                                methods=(METHOD_BASELINE,), n_jobs=2)
+        with use_context(warm_start=True):
+            stored = run_campaign(config, store=CampaignStore(tmp_path))
+            assert calls == [self.TASKS]
+            storeless = run_campaign(config)
+            assert calls == [self.TASKS] * 2
+        assert stored.store_misses == 2
+        assert stored.runs == storeless.runs
+
 
 class _ItemAwareFlakyPool:
     """Like :class:`_FlakyPool`, but honours the ``items`` it is mapped

@@ -1,15 +1,18 @@
 """Campaign artifact store: keying, round trips, atomic durability,
-manifest recovery, snapshot co-location and the integrity battery."""
+the manifest version marker, snapshot co-location and the integrity
+battery."""
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
-from repro.core.caches import (CacheSnapshot, SnapshotIntegrityError,
-                               read_snapshot_file, write_snapshot_file)
+import repro.eval.campaign as campaign_mod
+from repro.core.caches import CacheSnapshot
 from repro.eval import (CampaignStore, EvalLevel, StoreError,
                         StoreIntegrityError, TaskRun, context_fingerprint,
-                        llm_tier, store_key)
+                        default_config, llm_tier, run_campaign, store_key)
 from repro.eval.store import STORE_VERSION, key_digest
 from repro.hdl.context import SimContext
 from repro.llm.base import Usage
@@ -25,6 +28,26 @@ def make_key(task_id="cmb_and2", method="baseline", seed=0,
              context=None) -> dict:
     context = context if context is not None else SimContext()
     return store_key(method, task_id, seed, "gpt-4o", "S1", 20, context)
+
+
+def store_files(root) -> set:
+    """Every file under a store root, as root-relative POSIX paths."""
+    return {path.relative_to(root).as_posix()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def parent_era_manifest(store) -> bytes:
+    """The index-carrying ``manifest.json`` earlier builds wrote after
+    every put: ``version`` plus a ``count`` / ``entries`` index."""
+    entries = {}
+    for key in store.keys():
+        entry = json.loads((store.root / "entries"
+                            / f"{key_digest(key)}.json").read_bytes())
+        entries[key_digest(key)] = {"key": key, "blob": entry["blob"]}
+    manifest = {"version": STORE_VERSION, "count": len(entries),
+                "entries": entries}
+    return json.dumps(manifest, sort_keys=True,
+                      indent=1).encode("utf-8") + b"\n"
 
 
 class TestKeying:
@@ -208,12 +231,23 @@ class TestIntegrity:
 
 class TestManifest:
     def test_manifest_written_and_versioned(self, tmp_path):
+        # A write-once layout marker: opening lays it out, no put or
+        # evict rewrites it, and each put adds exactly its blob and
+        # its entry file.
         store = CampaignStore(tmp_path)
-        store.put(make_key(), make_run())
-        manifest = json.loads((tmp_path / "manifest.json").read_bytes())
-        assert manifest["version"] == STORE_VERSION
-        assert manifest["count"] == 1
-        assert key_digest(make_key()) in manifest["entries"]
+        manifest_path = tmp_path / "manifest.json"
+        marker = manifest_path.read_bytes()
+        inode = manifest_path.stat().st_ino  # an atomic rewrite changes it
+        assert json.loads(marker) == {"version": STORE_VERSION}
+        for seed in range(3):
+            before = store_files(tmp_path)
+            blob_sha = store.put(make_key(seed=seed), make_run(seed=seed))
+            assert store_files(tmp_path) == before | {
+                f"blobs/{blob_sha}.json",
+                f"entries/{key_digest(make_key(seed=seed))}.json"}
+        assert store.evict(make_key(seed=0))
+        assert manifest_path.read_bytes() == marker
+        assert manifest_path.stat().st_ino == inode
 
     def test_version_mismatch_fails_loudly(self, tmp_path):
         CampaignStore(tmp_path).put(make_key(), make_run())
@@ -233,11 +267,13 @@ class TestManifest:
         (tmp_path / "manifest.json").write_bytes(b'{"version": 1, "en')
         recovered = CampaignStore(tmp_path)
         assert recovered.recovered_manifest
-        assert "rebuilding from entry files" in capsys.readouterr().err
-        assert len(recovered.manifest()) == 3
+        assert "rewriting it" in capsys.readouterr().err
+        assert len(recovered) == 3
         for seed in range(3):
             assert recovered.get(make_key(seed=seed)).seed == seed
         # Recovery rewrote a readable manifest.
+        assert json.loads((tmp_path / "manifest.json").read_bytes()) \
+            == {"version": STORE_VERSION}
         assert not CampaignStore(tmp_path).recovered_manifest
 
     def test_missing_manifest_rebuilds_silently(self, tmp_path, capsys):
@@ -246,18 +282,47 @@ class TestManifest:
         reopened = CampaignStore(tmp_path)
         assert not reopened.recovered_manifest  # absent != torn
         assert capsys.readouterr().err == ""
-        assert len(reopened.manifest()) == 1
+        assert json.loads((tmp_path / "manifest.json").read_bytes()) \
+            == {"version": STORE_VERSION}
+        assert len(reopened) == 1
 
-    def test_manifest_is_advisory_not_truth(self, tmp_path):
+    def test_manifest_is_advisory_not_truth(self, tmp_path, capsys):
         # keys()/get() read entry files directly, so entries another
-        # writer landed after our manifest flush are still visible.
+        # writer landed after we opened are visible — and the
+        # ``count`` / ``entries`` index earlier builds kept in the
+        # manifest is ignored, stale or not, and left untouched.
         ours = CampaignStore(tmp_path)
         ours.put(make_key(seed=0), make_run(seed=0))
+        stale = parent_era_manifest(ours)  # indexes seed 0 only
+        (tmp_path / "manifest.json").write_bytes(stale)
         theirs = CampaignStore(tmp_path)
+        assert not theirs.recovered_manifest
+        assert capsys.readouterr().err == ""
         theirs.put(make_key(seed=1), make_run(seed=1))
-        assert len(ours.manifest()) == 1  # stale in-memory index...
-        assert len(ours) == 2             # ...but the disk truth is 2
+        assert len(ours) == 2  # the disk truth, not the index's 1
         assert ours.get(make_key(seed=1)).seed == 1
+        assert (tmp_path / "manifest.json").read_bytes() == stale
+
+    def test_parent_era_store_resumes_without_recompute(
+            self, tmp_path, capsys, monkeypatch):
+        config = default_config(task_ids=("cmb_and2", "seq_dff"),
+                                seeds=(0,), methods=("baseline",),
+                                n_jobs=1)
+        cold = run_campaign(config, store=CampaignStore(tmp_path))
+        (tmp_path / "manifest.json").write_bytes(
+            parent_era_manifest(CampaignStore(tmp_path)))
+        capsys.readouterr()
+
+        def never_compute(item):  # pragma: no cover - sentinel
+            raise AssertionError(f"recomputed a stored item: {item!r}")
+
+        monkeypatch.setattr(campaign_mod, "_worker", never_compute)
+        store = CampaignStore(tmp_path)
+        resumed = run_campaign(config, store=store, resume=True)
+        assert not store.recovered_manifest
+        assert capsys.readouterr().err == ""
+        assert (resumed.store_hits, resumed.store_misses) == (2, 0)
+        assert resumed.runs == cold.runs
 
 
 class TestSnapshotColocation:
@@ -282,28 +347,67 @@ class TestSnapshotColocation:
 
 
 class TestSnapshotFileFormat:
-    """The framed snapshot file the store co-locates (magic + digest +
-    pickle) — unit coverage for repro.core.caches' read/write pair."""
+    """The framed ``snapshot.bin`` the store co-locates (magic line +
+    SHA-256 line + pickle), verified before anything is unpickled."""
+
+    MAGIC = b"repro-cachesnap-1\n"
+
+    def _frame(self, payload: bytes) -> bytes:
+        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+        return self.MAGIC + digest + b"\n" + payload
 
     def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "snap.bin"
+        store = CampaignStore(tmp_path)
         snapshot = CacheSnapshot(payloads={"design": {("a",): b"t"}})
-        write_snapshot_file(snapshot, path)
-        assert read_snapshot_file(path).payloads == snapshot.payloads
+        path = store.save_snapshot(snapshot)
+        assert path == tmp_path / "snapshot.bin"
+        data = path.read_bytes()
+        assert data.startswith(self.MAGIC)
+        assert self._frame(data.split(b"\n", 2)[2]) == data
+        assert store.load_snapshot().payloads == snapshot.payloads
+        assert CampaignStore(tmp_path).load_snapshot().payloads \
+            == snapshot.payloads
 
-    def test_missing_file_raises_file_not_found(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_snapshot_file(tmp_path / "absent.bin")
+    def test_deleted_file_loads_as_none(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        store.save_snapshot(CacheSnapshot(payloads={"parse": {}}))
+        (tmp_path / "snapshot.bin").unlink()
+        assert store.load_snapshot() is None
 
     def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        path.write_bytes(b"not-a-snapshot\n" + b"0" * 64 + b"\n")
-        with pytest.raises(SnapshotIntegrityError):
-            read_snapshot_file(path)
+        store = CampaignStore(tmp_path)
+        (tmp_path / "snapshot.bin").write_bytes(
+            b"not-a-snapshot\n" + b"0" * 64 + b"\n")
+        with pytest.raises(StoreIntegrityError, match="bad magic"):
+            store.load_snapshot()
 
     def test_truncated_payload_raises(self, tmp_path):
-        path = tmp_path / "snap.bin"
-        write_snapshot_file(CacheSnapshot(payloads={"parse": {}}), path)
+        store = CampaignStore(tmp_path)
+        store.save_snapshot(CacheSnapshot(payloads={"parse": {}}))
+        path = tmp_path / "snapshot.bin"
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(SnapshotIntegrityError):
-            read_snapshot_file(path)
+        with pytest.raises(StoreIntegrityError, match="SHA-256"):
+            store.load_snapshot()
+
+    @pytest.mark.parametrize("case, match", (
+        ("no-digest-line", "truncated"),
+        ("unpicklable", "does not unpickle"),
+        ("not-a-snapshot", "does not contain a CacheSnapshot"),
+    ))
+    def test_verified_frame_still_checks_payload(self, tmp_path, case,
+                                                 match):
+        data = {
+            "no-digest-line": self.MAGIC + b"0" * 64,
+            "unpicklable": self._frame(b"not a pickle"),
+            "not-a-snapshot": self._frame(pickle.dumps({"parse": {}})),
+        }[case]
+        store = CampaignStore(tmp_path)
+        (tmp_path / "snapshot.bin").write_bytes(data)
+        with pytest.raises(StoreIntegrityError, match=match):
+            store.load_snapshot()
+
+    def test_save_rejects_non_snapshot(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        with pytest.raises(TypeError, match="CacheSnapshot"):
+            store.save_snapshot({"parse": {}})
+        assert store.load_snapshot() is None

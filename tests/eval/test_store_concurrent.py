@@ -1,13 +1,12 @@
 """Two processes writing one campaign store concurrently.
 
 Entry and blob files land independently per writer (tmp + atomic
-rename), so concurrent writers must never produce a torn blob; only
-the advisory manifest is racy (last writer wins), and listing through
-the entry files sees every writer's entries regardless of whose
-manifest flush landed last.
+rename), so concurrent writers must never produce a torn blob, and
+listing through the entry files sees every writer's entries.
+``manifest.json`` is a version marker laid out once, which no put
+rewrites.
 """
 
-import json
 import multiprocessing
 
 from repro.eval import CampaignStore, EvalLevel, TaskRun, store_key
@@ -38,6 +37,7 @@ def _hammer(root, writer, barrier):
 
 def test_two_writers_share_one_store(tmp_path):
     CampaignStore(tmp_path)  # lay out the store before the race
+    marker = (tmp_path / "manifest.json").read_bytes()
     mp = multiprocessing.get_context("spawn")  # no inherited state
     barrier = mp.Barrier(2)
     writers = ("alpha", "beta")
@@ -63,17 +63,8 @@ def test_two_writers_share_one_store(tmp_path):
                 == _writer_run(writer, index)
     assert store.stats()["hits"] == 2 * N_PER_WRITER
 
-    # The manifest is last-writer-wins and may miss the other writer's
-    # late entries, but it must parse, carry the right version, and
-    # only reference entries that exist on disk.
-    manifest = json.loads((tmp_path / "manifest.json").read_bytes())
-    assert manifest["version"] == 1
-    on_disk = set(store.export_keys())
-    assert set(manifest["entries"]) <= on_disk
-    # Dropping the advisory manifest forces a rebuild from the entry
-    # files, reconciling the index with the disk truth.
-    (tmp_path / "manifest.json").unlink()
-    assert len(CampaignStore(tmp_path).manifest()) == 2 * N_PER_WRITER
+    # Neither writer rewrote the marker laid out before the race.
+    assert (tmp_path / "manifest.json").read_bytes() == marker
 
 
 def test_interleaved_same_key_last_writer_wins(tmp_path):

@@ -111,8 +111,8 @@ def test_corrupted_blob_never_served(seed, cut, garbage):
 
 @given(st.binary(max_size=64), st.integers(1, 3))
 def test_torn_manifest_recovered_or_rejected_loudly(garbage, n_entries):
-    """Arbitrary bytes in manifest.json: reopening either recovers the
-    full index from the entry files (flagging it) or raises the typed
+    """Arbitrary bytes in manifest.json: reopening either rewrites the
+    version marker (flagging an unreadable one) or raises the typed
     StoreError (a parseable manifest with a foreign version) — it never
     opens quietly with entries missing."""
     root = Path(tempfile.mkdtemp(prefix="repro-store-prop-"))
@@ -131,8 +131,9 @@ def test_torn_manifest_recovered_or_rejected_loudly(garbage, n_entries):
         # manifest said...
         for seed in range(n_entries):
             assert reopened.get(_key(0, 0, seed)) == _run(0, 0, seed, 2)
-        # ...and a genuinely unparseable manifest was rebuilt in full.
+        # ...and a genuinely unparseable manifest was rewritten.
         if reopened.recovered_manifest:
-            assert len(reopened.manifest()) == n_entries
+            assert json.loads((root / "manifest.json").read_bytes()) \
+                == {"version": 1}
     finally:
         shutil.rmtree(root, ignore_errors=True)
