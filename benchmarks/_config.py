@@ -15,13 +15,13 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.eval.campaign import campaign_jobs_from_env
+from repro.hdl import resolve_jobs
 from repro.problems import dataset_slice, load_dataset
 
 OUT_DIR = Path(__file__).parent / "out"
 
 FULL = os.environ.get("REPRO_FULL", "") == "1"
-JOBS = campaign_jobs_from_env(default=(os.cpu_count() or 2) // 2 or 1)
+JOBS = resolve_jobs(default=(os.cpu_count() or 2) // 2 or 1)
 
 # Paper protocol: 156 tasks x 5 repetitions.
 FULL_SEEDS = (0, 1, 2, 3, 4)

@@ -20,8 +20,7 @@ import sys
 from repro.core.baseline import DirectBaseline
 from repro.eval import (ALL_METHODS, campaign_method, default_config,
                         render_table1, run_campaign)
-from repro.eval.campaign import campaign_jobs_from_env
-from repro.hdl import use_context
+from repro.hdl import resolve_jobs, use_context
 from repro.problems import dataset_slice, load_dataset
 
 ENGINE = "compiled"
@@ -44,7 +43,7 @@ def main() -> None:
         task_ids = [task.task_id for task in dataset_slice(6, 6,
                                                            stride=7)]
     methods = ALL_METHODS + ("baseline-retry",)
-    jobs = campaign_jobs_from_env(default=4)
+    jobs = resolve_jobs(default=4)
     if multiprocessing.get_start_method() != "fork":
         # The registry is per process and "baseline-retry" lives in this
         # __main__ script: spawned/forkserver workers re-import repro but

@@ -8,7 +8,7 @@ Run:  python examples/multi_llm.py
 """
 
 from repro.eval import default_config, render_fig7, run_campaign
-from repro.eval.campaign import campaign_jobs_from_env
+from repro.hdl import resolve_jobs
 from repro.problems import dataset_slice
 
 MODELS = ("GPT-4o", "Claude-3.5-Sonnet", "GPT-4o-mini")
@@ -16,7 +16,7 @@ MODELS = ("GPT-4o", "Claude-3.5-Sonnet", "GPT-4o-mini")
 
 def main() -> None:
     task_ids = [task.task_id for task in dataset_slice(5, 5, stride=9)]
-    jobs = campaign_jobs_from_env(default=4)
+    jobs = resolve_jobs(default=4)
     results = {}
     for model in MODELS:
         print(f"running {model} on {len(task_ids)} tasks ...")

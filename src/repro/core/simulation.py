@@ -848,21 +848,35 @@ def shutdown_sim_pool(wait: bool = True) -> None:
 atexit.register(shutdown_sim_pool)
 
 
-def _pool_map(worker, items: list, jobs: int) -> list:
-    """Map over the persistent pool; a broken pool (killed worker) is
-    discarded and recreated once before giving up.
+def _pool_failure(error: RuntimeError, results) -> bool:
+    """Does recreating the pool heal ``error``?
 
-    RuntimeError is retried alongside BrokenProcessPool: a concurrent
-    ``get_sim_pool`` grow request shuts the executor down between our
-    lookup and ``map``, which surfaces as ``RuntimeError: cannot
-    schedule new futures after shutdown``.  A genuine worker-raised
-    RuntimeError simply re-raises from the retry.
+    ``results`` is what the failing ``pool.map(...)`` call returned, or
+    None if the call itself raised.  A killed worker breaks the pool:
+    :class:`BrokenProcessPool`, at submit time or while results stream.
+    A concurrent :func:`get_sim_pool` grow request can shut the
+    executor down between lookup and ``map``; ``Executor.map`` submits
+    every item eagerly, so that race raises ``RuntimeError: cannot
+    schedule new futures after shutdown`` from the call itself.  A
+    RuntimeError raised while results stream is a worker's own error:
+    it propagates instead of re-running the batch.
     """
-    try:
-        return list(get_sim_pool(jobs).map(worker, items))
-    except (BrokenProcessPool, RuntimeError):
-        shutdown_sim_pool(wait=False)
-        return list(get_sim_pool(jobs).map(worker, items))
+    return isinstance(error, BrokenProcessPool) or results is None
+
+
+def _pool_map(worker, items: list, jobs: int) -> list:
+    """Map over the persistent pool; a pool failure (see
+    :func:`_pool_failure`) discards and recreates the pool once before
+    giving up."""
+    for attempt in (0, 1):
+        results = None
+        try:
+            results = get_sim_pool(jobs).map(worker, items)
+            return list(results)
+        except RuntimeError as error:
+            if attempt or not _pool_failure(error, results):
+                raise
+            shutdown_sim_pool(wait=False)
 
 
 # ----------------------------------------------------------------------

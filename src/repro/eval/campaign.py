@@ -22,20 +22,19 @@ from __future__ import annotations
 
 import inspect
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..core.caches import caches, use_task_scope
 from ..core.simulation import (design_template, get_sim_pool,
                                shutdown_sim_pool, _pair_template,
-                               _resolve_start_method)
+                               _pool_failure, _resolve_start_method)
 from ..core.validator import CRITERIA, DEFAULT_CRITERION
-from ..hdl.context import (SimContext, current_context, resolve_jobs,
-                           use_context)
+from ..hdl.context import SimContext, current_context, use_context
 from ..hdl.errors import HdlError
-from ..llm.backends import is_live_backend, iter_fan_out, resolve_llm_client
+from ..llm.backends import is_live_backend, resolve_llm_client
 from ..llm.base import MeteredClient, UsageMeter
 from ..problems.dataset import get_task, load_dataset
 from .golden import golden_artifacts
@@ -207,45 +206,26 @@ def _accepts_keyword(progress, name: str) -> bool:
     return False
 
 
-class _ProgressReporter:
-    """Attempt- and skip-aware progress fan-out.
+def _reporter(progress, total: int):
+    """``report(run, skipped=False)``: count one finished item and call
+    ``progress(done, total, run)`` with the running count.
 
-    A healed-pool retry reruns outstanding items, which used to replay
-    indices from 1 into the caller's callback — a monotonicity break
-    across attempts.  Callbacks that accept an ``attempt`` keyword get
-    every replay labelled with the attempt number; legacy
-    three-argument callbacks see each index at most once (a high-water
-    mark across attempts), keeping their view strictly monotonic.
-
-    Store-satisfied items (a resumed campaign's skipped work) count as
-    completed work: they are reported through the same callback, in
-    item order, before any computation starts, so ``index``/``total``
-    always measure real campaign progress.  Callbacks additionally
-    accepting a ``skipped`` keyword can tell a store hit from a
-    computed result.
+    Every item is reported exactly once, so ``done`` is strictly
+    monotonic.  Callbacks that accept a ``skipped`` keyword also learn
+    whether the item was a store hit.
     """
+    done = 0
+    skip_aware = progress is not None and _accepts_keyword(progress,
+                                                           "skipped")
 
-    def __init__(self, progress, total: int):
-        self._progress = progress
-        self._total = total
-        self._attempt_aware = (progress is not None
-                               and _accepts_keyword(progress, "attempt"))
-        self._skip_aware = (progress is not None
-                            and _accepts_keyword(progress, "skipped"))
-        self._high_water = 0
-
-    def report(self, index: int, run: TaskRun, attempt: int,
-               skipped: bool = False) -> None:
-        if self._progress is None:
-            return
-        if self._attempt_aware:
-            kwargs = {"attempt": attempt}
-            if self._skip_aware:
-                kwargs["skipped"] = skipped
-            self._progress(index, self._total, run, **kwargs)
-        elif index > self._high_water:
-            self._high_water = index
-            self._progress(index, self._total, run)
+    def report(run: TaskRun, skipped: bool = False) -> None:
+        nonlocal done
+        done += 1
+        if skip_aware:
+            progress(done, total, run, skipped=skipped)
+        elif progress is not None:
+            progress(done, total, run)
+    return report
 
 
 def campaign_items(config: CampaignConfig,
@@ -277,10 +257,31 @@ def _resolve_store(context: SimContext,
     return None
 
 
+def _prewarm_and_snapshot(context: SimContext, task_ids,
+                          store: CampaignStore | None) -> None:
+    """Pre-warm this process's caches (when the context's ``warm_start``
+    flag is set) and save them as ``store``'s warm-boot snapshot (when
+    there is a store).
+
+    Pre-warming before a pool exists lets pool creation ship (spawn) or
+    fork the warm state to its workers instead of every worker
+    rebuilding the same golden templates per item.  Saved right after
+    the pre-warm, before any item runs, the snapshot carries only the
+    goldens — small to load, everything a resumed run can reuse — and
+    a campaign killed mid-flight still resumes warm.
+    """
+    with use_context(context):
+        if context.warm_start:
+            prewarm_campaign_caches(task_ids)
+        if store is not None:
+            store.save_snapshot(caches.export_snapshot())
+
+
 def run_campaign(config: CampaignConfig, progress=None, *,
                  store: CampaignStore | None = None,
                  resume: bool = False) -> CampaignResult:
-    """Run the full campaign, optionally over the shared process pool.
+    """Run the full campaign: serially, on the shared process pool, or
+    on threads for a live LLM backend.
 
     Parallel campaigns draw workers from the persistent simulation pool
     (:func:`repro.core.simulation.get_sim_pool`), so consecutive
@@ -289,12 +290,14 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     spin-up per run.  Every work item carries the campaign's resolved
     :class:`SimContext`; its ``start_method`` / ``warm_start`` knobs
     select how the pool spawns workers and whether the campaign
-    pre-warms them (see :func:`prewarm_campaign_caches`).
+    pre-warms them (see :func:`prewarm_campaign_caches`).  Live-backend
+    items are I/O-bound and their clients cannot cross a process
+    boundary, so ``n_jobs > 1`` runs them on threads instead; wire
+    concurrency stays bounded by the backends' global in-flight cap.
 
-    ``progress`` is called as ``progress(index, total, run)`` after each
-    completed item; pass a callback accepting an ``attempt`` keyword to
-    also observe healed-pool retries, and a ``skipped`` keyword to tell
-    store hits from computed results (see :class:`_ProgressReporter`).
+    ``progress`` is called as ``progress(done, total, run)`` exactly
+    once per item, ``done`` counting up from 1; a callback accepting a
+    ``skipped`` keyword can also tell store hits from computed results.
 
     With a ``store`` (explicit argument, or opened from the resolved
     context's ``store_dir`` / ``REPRO_STORE_DIR``), every completed item
@@ -302,118 +305,77 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     in flight.  ``resume=True`` additionally boots the caches from the
     store's co-located snapshot (if one was saved) and answers
     already-stored items without resimulating them; hits are reported
-    through ``progress`` first (with ``skipped=True``) and counted in
-    ``CampaignResult.store_hits``.  A healed-pool retry with a store
-    keeps completed items instead of replaying the whole campaign.
+    through ``progress`` first and counted in
+    ``CampaignResult.store_hits``.
+
+    A broken pool is healed once: the pool is recreated and only the
+    items not yet finished run again, so completed work survives the
+    heal with or without a store.
     """
     context = config.resolved_context()
     items = campaign_items(config, context)
     store = _resolve_store(context, store)
-
-    result = CampaignResult(config)
-    reporter = _ProgressReporter(progress, len(items))
+    report = _reporter(progress, len(items))
     runs: list[TaskRun | None] = [None] * len(items)
-    completed = 0
+    n_jobs = config.n_jobs or 1
+    threaded = n_jobs > 1 and is_live_backend(context.llm_backend)
+    pooled = n_jobs > 1 and not threaded
 
     if store is not None and resume:
         for index, item in enumerate(items):
-            hit = store.get(store_key(*item))
-            if hit is not None:
-                runs[index] = hit
-                completed += 1
-                reporter.report(completed, hit, attempt=0, skipped=True)
-        if completed < len(items):
+            runs[index] = store.get(store_key(*item))
+            if runs[index] is not None:
+                report(runs[index], skipped=True)
+    result = CampaignResult(config)
+    hits = sum(run is not None for run in runs)
+    if store is not None:
+        result.store_hits = hits
+        result.store_misses = len(items) - hits
+    if hits < len(items):
+        if store is not None and resume:
             # Boot warm for the outstanding work; a fully
             # store-satisfied resume skips the import entirely.
             snapshot = store.load_snapshot()
             if snapshot is not None:
                 with use_context(context):
                     caches.import_snapshot(snapshot)
-    if store is not None:
-        result.store_hits = completed
-        result.store_misses = len(items) - completed
+        if context.warm_start and (store is not None or pooled):
+            _prewarm_and_snapshot(context, config.task_ids, store)
 
-    def record(index: int, run: TaskRun, attempt: int = 0) -> None:
-        nonlocal completed
+    def record(index: int, run: TaskRun) -> None:
         runs[index] = run
         if store is not None:
             store.put(store_key(*items[index]), run)
-        completed += 1
-        reporter.report(completed, run, attempt)
+        report(run)
 
-    pending = [index for index in range(len(items)) if runs[index] is None]
-    n_jobs = config.n_jobs or 1
-    if store is not None and pending and context.warm_start:
-        # Leave the co-located warm-boot artifact *before* computing:
-        # a campaign killed mid-flight resumes from golden templates,
-        # not from nothing.  Saved post-prewarm, the snapshot carries
-        # only the goldens — small to load, everything a resumed run
-        # can actually reuse.
-        with use_context(context):
-            prewarm_campaign_caches(config.task_ids)
-            store.save_snapshot(caches.export_snapshot())
-    if not pending:
-        pass  # fully store-satisfied: nothing to simulate
-    elif n_jobs > 1 and is_live_backend(context.llm_backend):
-        # Live-backend items are I/O-bound (the process waits on
-        # sockets, not simulations) and their clients hold locks and
-        # connections that cannot cross a process boundary: fan out on
-        # threads instead of the sim pool.  Wire concurrency stays
-        # bounded by the backends' global in-flight cap regardless of
-        # n_jobs.
-        for offset, run in enumerate(
-                iter_fan_out(_worker, [items[index] for index in pending],
-                             max_workers=n_jobs)):
-            record(pending[offset], run)
-    elif n_jobs > 1:
-        # Pre-warm the parent's caches from the task list, so the pool
-        # created below ships (spawn) or forks (fork) warm state to its
-        # workers instead of every worker rebuilding the same golden
-        # templates per item.  A store run already pre-warmed above,
-        # before saving its snapshot.
-        if context.warm_start and store is None:
-            with use_context(context):
-                prewarm_campaign_caches(config.task_ids)
-        # A killed worker breaks the shared executor, and a concurrent
-        # get_sim_pool grow request can shut it down mid-map (surfacing
-        # as RuntimeError) — the same pair _pool_map recovers from.
-        # Heal the pool and rerun once; a genuine worker error simply
-        # re-raises from the retry.
+    def start(batch: list[tuple]):
+        # _worker and get_sim_pool are looked up here, per call, so a
+        # patched module attribute takes effect.
+        if threaded:
+            return threads.map(_worker, batch)
+        if pooled:
+            pool = get_sim_pool(n_jobs, start_method=context.start_method,
+                                warm_start=context.warm_start)
+            return pool.map(_worker, batch, chunksize=4)
+        return map(_worker, batch)
+
+    with (ThreadPoolExecutor(n_jobs, thread_name_prefix="repro-llm")
+          if threaded else nullcontext()) as threads:
         for attempt in (0, 1):
-            try:
-                pool = get_sim_pool(n_jobs,
-                                    start_method=context.start_method,
-                                    warm_start=context.warm_start)
-                if store is None:
-                    # Store-less semantics (unchanged): a healed pool
-                    # replays the whole campaign, each attempt
-                    # reporting indices from 1.
-                    for index, run in enumerate(pool.map(_worker, items,
-                                                         chunksize=4)):
-                        runs[index] = run
-                        reporter.report(index + 1, run, attempt)
-                else:
-                    # With a store, completed items survived the break
-                    # (they were persisted as they finished): only
-                    # outstanding items replay, and the completed count
-                    # stays monotonic across the heal.
-                    todo = [index for index in pending
-                            if runs[index] is None]
-                    for offset, run in enumerate(
-                            pool.map(_worker,
-                                     [items[index] for index in todo],
-                                     chunksize=4)):
-                        record(todo[offset], run, attempt)
+            todo = [index for index, run in enumerate(runs) if run is None]
+            if not todo:
                 break
-            except (BrokenProcessPool, RuntimeError):
-                shutdown_sim_pool(wait=False)
-                if attempt:
+            results = None
+            try:
+                results = start([items[index] for index in todo])
+                for index, run in zip(todo, results, strict=True):
+                    record(index, run)
+            except RuntimeError as error:
+                if attempt or not _pool_failure(error, results):
                     raise
-    else:
-        for index in pending:
-            record(index, _worker(items[index]))
+                shutdown_sim_pool(wait=False)
 
-    result.runs = [run for run in runs if run is not None]
+    result.runs = runs
     return result
 
 
@@ -438,14 +400,17 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
     processes sharing one persistent store.
 
     The coordinator pre-warms its caches (when the resolved context's
-    ``warm_start`` flag is set), saves a
-    :class:`~repro.core.caches.CacheSnapshot` into the store, and
+    ``warm_start`` flag is set) and always saves a
+    :class:`~repro.core.caches.CacheSnapshot` into the store — the same
+    step :func:`run_campaign` takes before its first item — then
     round-robins task slices to fresh worker processes; each worker
     imports the snapshot before its first item (via
     ``run_campaign(..., resume=True)``), runs its slice serially, and
     persists every completed item.  The final
     :class:`CampaignResult` is assembled from the store in canonical
-    item order, so reports are identical to an unsharded run.
+    item order, so reports are identical to an unsharded run, and
+    ``progress`` sees each item once, in that order, as
+    ``progress(done, total, run)``.
     ``store_hits`` / ``store_misses`` aggregate the workers' counters —
     a resumed sharded campaign skips already-stored items exactly like
     an unsharded resume.
@@ -466,10 +431,7 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
     if shards == 1:
         return run_campaign(config, progress, store=store, resume=True)
 
-    with use_context(context):
-        if context.warm_start:
-            prewarm_campaign_caches(config.task_ids)
-        store.save_snapshot(caches.export_snapshot())
+    _prewarm_and_snapshot(context, config.task_ids, store)
 
     slices = [config.task_ids[shard::shards] for shard in range(shards)]
     payloads = [(replace(config, task_ids=chunk, n_jobs=1,
@@ -487,24 +449,14 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
 
     items = campaign_items(config, context)
     result = CampaignResult(config, store_hits=hits, store_misses=misses)
-    reporter = _ProgressReporter(progress, len(items))
-    for index, item in enumerate(items):
+    report = _reporter(progress, len(items))
+    for item in items:
         run = store.get(store_key(*item))
         if run is None:
             raise StoreError(
                 f"shard workers left item unwritten: method={item[0]!r} "
                 f"task={item[1]!r} seed={item[2]!r}")
         result.runs.append(run)
-        reporter.report(index + 1, run, attempt=0)
+        report(run)
     return result
 
-
-def campaign_jobs_from_env(default: int = 1) -> int:
-    """Resolve worker count from the active context / ``REPRO_JOBS``.
-
-    Delegates to :func:`repro.hdl.context.resolve_jobs`: an active
-    context's ``jobs`` wins; otherwise ``REPRO_JOBS`` (``0`` = all
-    cores, malformed values warn at seeding time and fall back) applies
-    when set, else ``default``.
-    """
-    return resolve_jobs(default)

@@ -22,7 +22,6 @@ from .errors import (BackendConnectionError, BackendError,
                      BackendRateLimited, BackendRequestError,
                      BackendServerError, BackendTimeout, BudgetExhausted,
                      MalformedResponseError)
-from .fanout import fan_out, iter_fan_out
 from .fixtures import FixtureBackend, FixtureError, FixtureStore
 from .hf_router import HFRouterBackend
 from .ollama import OllamaBackend
@@ -61,9 +60,7 @@ __all__ = [
     "SamplingParams",
     "backend_names",
     "create_backend",
-    "fan_out",
     "is_live_backend",
-    "iter_fan_out",
     "live_stack",
     "remaining_deadline",
     "resolve_llm_client",

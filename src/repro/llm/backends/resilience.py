@@ -21,9 +21,9 @@ adapter in the policy that makes campaigns survive that:
 :class:`InFlightCap`
     a semaphore bounding concurrent requests.  :data:`GLOBAL_IN_FLIGHT`
     is the process-wide cap every :class:`ResilientBackend` holds while
-    a request is on the wire, so campaign fan-out
-    (:func:`repro.llm.backends.fanout.fan_out`) cannot dogpile an
-    endpoint no matter how many worker threads it runs.
+    a request is on the wire, so a live-backend campaign's worker
+    threads (:func:`repro.eval.campaign.run_campaign` with
+    ``n_jobs > 1``) cannot dogpile an endpoint however many it runs.
 
 :class:`ResilientBackend`
     the wrapper composing all three around any

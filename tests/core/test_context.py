@@ -17,13 +17,14 @@ from repro.core.caches import CacheRegistry, caches
 from repro.core.simulation import RUNTIME, run_driver, run_driver_batch
 from repro.core.validator import ScenarioValidator
 from repro.eval import campaign
-from repro.eval.campaign import CampaignConfig, campaign_jobs_from_env
+from repro.eval.campaign import CampaignConfig
 from repro.hdl import simulate
 from repro.hdl.context import (ENGINE_COMPILED, ENGINE_INTERPRET,
                                LEXER_REFERENCE, MUTANT_LOCKSTEP,
                                MUTANT_PER_MUTANT, SimContext,
                                _context_from_env, current_context,
-                               root_context, set_root_context, use_context)
+                               resolve_jobs, root_context, set_root_context,
+                               use_context)
 from repro.codegen import render_driver
 from repro.problems import get_task
 
@@ -186,7 +187,7 @@ class TestEnvSeeding:
 
     def test_malformed_jobs_warns_and_falls_back(self, capsys):
         # Satellite fix: a malformed REPRO_JOBS used to raise ValueError
-        # out of campaign_jobs_from_env; now it degrades like
+        # out of the campaign's job resolution; now it degrades like
         # REPRO_SIM_ENGINE does.
         context, seeded = _context_from_env({"REPRO_JOBS": "four"})
         assert context.jobs == 1
@@ -314,19 +315,19 @@ class TestEnvSeeding:
 
     def test_campaign_jobs_prefers_active_context(self):
         with use_context(jobs=5):
-            assert campaign_jobs_from_env(default=1) == 5
+            assert resolve_jobs(default=1) == 5
         # Without an activation (and REPRO_JOBS unset in the test env)
         # the caller's default applies.
-        assert campaign_jobs_from_env(default=7) == 7
+        assert resolve_jobs(default=7) == 7
 
     def test_campaign_jobs_honours_steered_root(self):
         original = root_context()
         try:
             set_root_context(original.evolve(jobs=6))
-            assert campaign_jobs_from_env(default=4) == 6
+            assert resolve_jobs(default=4) == 6
         finally:
             set_root_context(original)
-        assert campaign_jobs_from_env(default=4) == 4
+        assert resolve_jobs(default=4) == 4
 
 
 # ----------------------------------------------------------------------

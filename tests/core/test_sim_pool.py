@@ -1,5 +1,5 @@
 """Persistent simulation worker pool: reuse, growth, clean shutdown,
-explicit start methods and warm-started workers."""
+healing, explicit start methods and warm-started workers."""
 
 import multiprocessing
 import os
@@ -11,8 +11,9 @@ import pytest
 
 from repro.codegen import render_driver
 from repro.core.caches import caches
-from repro.core.simulation import (get_sim_pool, run_driver_batch,
-                                   shutdown_sim_pool, sim_pool_info)
+from repro.core.simulation import (_pool_map, get_sim_pool,
+                                   run_driver_batch, shutdown_sim_pool,
+                                   sim_pool_info)
 from repro.hdl import use_context
 from repro.problems import get_task
 
@@ -89,6 +90,40 @@ class TestPoolLifecycle:
         assert [r.status for r in serial] == [r.status for r in pooled]
         assert [[rec.values for rec in r.records] for r in serial] \
             == [[rec.values for rec in r.records] for r in pooled]
+
+
+def _log_then_fail_last(item):
+    """Pool worker: append this run to the log, then fail the last
+    item with a RuntimeError of its own."""
+    log, index, last = item
+    with open(log, "a") as handle:
+        handle.write(f"{index}\n")
+    if index == last:
+        raise RuntimeError(f"item {index} failed")
+    return index
+
+
+class TestPoolHeal:
+    def test_worker_runtime_error_runs_each_item_once(self, tmp_path):
+        # A worker's own RuntimeError is not a pool failure: it must
+        # propagate without re-running the batch on a recycled pool.
+        log = tmp_path / "runs.log"
+        items = [(str(log), index, 2) for index in range(3)]
+        pool = get_sim_pool(2)
+        with pytest.raises(RuntimeError, match="item 2 failed"):
+            _pool_map(_log_then_fail_last, items, jobs=2)
+        assert sorted(log.read_text().split()) == ["0", "1", "2"]
+        assert get_sim_pool(2) is pool
+
+    def test_pool_shut_down_before_map_heals(self, tmp_path):
+        # The race a concurrent grow request causes: the executor this
+        # call looked up is shut down, so map() refuses to submit.
+        get_sim_pool(2).shutdown(wait=True)
+        log = tmp_path / "runs.log"
+        items = [(str(log), index, -1) for index in range(3)]
+        assert _pool_map(_log_then_fail_last, items, jobs=2) == [0, 1, 2]
+        assert sorted(log.read_text().split()) == ["0", "1", "2"]
+        assert sim_pool_info()["alive"]
 
 
 class TestStartMethodAndWarmStart:

@@ -1,6 +1,6 @@
 """Campaign runner: per-method work items, determinism, reporting,
-the pluggable method registry, attempt-aware progress and store-backed
-resume/shard semantics."""
+the pluggable method registry, progress across healed-pool retries and
+store-backed resume/shard semantics."""
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -145,43 +145,54 @@ class TestMethodRegistry:
 
 
 # ----------------------------------------------------------------------
-# Attempt-aware progress across healed-pool retries
+# Progress across healed-pool retries
 # ----------------------------------------------------------------------
 class _FlakyPool:
-    """Yields ``runs`` from map(); breaks after ``fail_after`` items on
-    the first attempt only."""
+    """Answers each mapped item from ``runs_by_task``; on the first
+    ``map`` only, raises ``error`` once ``fail_after`` items have been
+    yielded.  ``mapped`` records how many items each ``map`` received."""
 
-    def __init__(self, runs, fail_after):
-        self.runs = runs
+    def __init__(self, runs_by_task, fail_after, error=None):
+        self.runs_by_task = runs_by_task
         self.fail_after = fail_after
-        self.attempts = 0
+        self.error = error or BrokenProcessPool("worker died")
+        self.mapped = []
 
     def map(self, fn, items, chunksize=1):
-        self.attempts += 1
-        first = self.attempts == 1
+        items = list(items)
+        first = not self.mapped
+        self.mapped.append(len(items))
 
         def generate():
-            for index, run in enumerate(self.runs):
+            for index, item in enumerate(items):
                 if first and index == self.fail_after:
-                    raise BrokenProcessPool("worker died")
-                yield run
+                    raise self.error
+                yield self.runs_by_task[item[1]]  # item[1] == task_id
         return generate()
+
+
+def _patch_pool(monkeypatch, pool):
+    monkeypatch.setattr(campaign_mod, "get_sim_pool",
+                        lambda jobs, **kwargs: pool)
+    monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
+                        lambda wait=True: None)
 
 
 class TestRetryProgress:
     TASKS = ("cmb_and2", "cmb_eq4", "seq_dff")
 
+    def _config(self):
+        return default_config(task_ids=self.TASKS, seeds=(0,),
+                              methods=(METHOD_BASELINE,), n_jobs=2)
+
+    def _runs_by_task(self):
+        return {task_id: run_one(METHOD_BASELINE, task_id, seed=0)
+                for task_id in self.TASKS}
+
     def _run_flaky(self, monkeypatch, progress):
-        config = default_config(task_ids=self.TASKS, seeds=(0,),
-                                methods=(METHOD_BASELINE,), n_jobs=2)
-        runs = [run_one(METHOD_BASELINE, task_id, seed=0)
-                for task_id in self.TASKS]
-        pool = _FlakyPool(runs, fail_after=2)
-        monkeypatch.setattr(campaign_mod, "get_sim_pool",
-                            lambda jobs, **kwargs: pool)
-        monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
-                            lambda wait=True: None)
-        result = run_campaign(config, progress=progress)
+        _patch_pool(monkeypatch,
+                    _FlakyPool(self._runs_by_task(), fail_after=2))
+        result = run_campaign(self._config(), progress=progress)
         assert [r.task_id for r in result.runs] == list(self.TASKS)
         return result
 
@@ -194,15 +205,37 @@ class TestRetryProgress:
                         lambda i, n, run: seen.append((i, n)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
-    def test_attempt_aware_callback_sees_replay(self, monkeypatch):
-        seen = []
+    def test_worker_runtime_error_propagates_without_rerun(
+            self, monkeypatch):
+        # A RuntimeError raised while results stream is the item's own
+        # failure, not a pool failure: no heal, no second map.
+        pool = _FlakyPool(self._runs_by_task(), fail_after=2,
+                          error=RuntimeError("item failed"))
+        _patch_pool(monkeypatch, pool)
+        with pytest.raises(RuntimeError, match="item failed"):
+            run_campaign(self._config())
+        assert pool.mapped == [3]
 
-        def progress(index, total, run, attempt):
-            seen.append((attempt, index, total))
+    def test_pool_shut_down_at_submit_heals(self, monkeypatch):
+        # A concurrent pool grow shuts the executor down under us:
+        # map() itself raises RuntimeError before any item runs.
+        runs_by_task = self._runs_by_task()
 
-        self._run_flaky(monkeypatch, progress)
-        assert seen == [(0, 1, 3), (0, 2, 3),
-                        (1, 1, 3), (1, 2, 3), (1, 3, 3)]
+        class ShutDownOncePool:
+            calls = 0
+
+            def map(self, fn, items, chunksize=1):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError(
+                        "cannot schedule new futures after shutdown")
+                return (runs_by_task[item[1]] for item in items)
+
+        pool = ShutDownOncePool()
+        _patch_pool(monkeypatch, pool)
+        result = run_campaign(self._config())
+        assert [r.task_id for r in result.runs] == list(self.TASKS)
+        assert pool.calls == 2
 
     def test_exhausted_retries_reraise(self, monkeypatch):
         config = default_config(task_ids=(EASY_TASK,), seeds=(0,),
@@ -212,10 +245,7 @@ class TestRetryProgress:
             def map(self, fn, items, chunksize=1):
                 raise BrokenProcessPool("still dead")
 
-        monkeypatch.setattr(campaign_mod, "get_sim_pool",
-                            lambda jobs, **kwargs: DeadPool())
-        monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
-                            lambda wait=True: None)
+        _patch_pool(monkeypatch, DeadPool())
         with pytest.raises(BrokenProcessPool):
             run_campaign(config)
 
@@ -288,7 +318,7 @@ class TestStoreResume:
                      store=store)
         seen = []
 
-        def progress(index, total, run, attempt, skipped=False):
+        def progress(index, total, run, skipped=False):
             seen.append((index, total, skipped))
 
         run_campaign(self._config(), store=store, resume=True,
@@ -358,66 +388,36 @@ class TestStoreResume:
         assert stored.runs == storeless.runs
 
 
-class _ItemAwareFlakyPool:
-    """Like :class:`_FlakyPool`, but honours the ``items`` it is mapped
-    over (the store path remaps only *outstanding* items after a heal,
-    so the replayed slice is shorter than the campaign)."""
-
-    def __init__(self, runs_by_task, fail_after):
-        self.runs_by_task = runs_by_task
-        self.fail_after = fail_after
-        self.attempts = 0
-
-    def map(self, fn, items, chunksize=1):
-        self.attempts += 1
-        first = self.attempts == 1
-        items = list(items)
-
-        def generate():
-            for index, item in enumerate(items):
-                if first and index == self.fail_after:
-                    raise BrokenProcessPool("worker died")
-                yield self.runs_by_task[item[1]]  # item[1] == task_id
-        return generate()
-
-
 class TestStoreHeal:
-    """A healed pool with a store keeps completed items: only
-    outstanding work replays, and progress stays monotonic."""
+    """A healed pool keeps completed items, with or without a store:
+    only outstanding work replays, and progress stays monotonic."""
 
     TASKS = TestRetryProgress.TASKS
 
-    def _run_flaky_with_store(self, monkeypatch, tmp_path, progress):
+    @pytest.mark.parametrize("with_store", [True, False],
+                             ids=["store", "no-store"])
+    def test_completed_items_survive_the_heal(self, monkeypatch,
+                                              tmp_path, with_store):
         config = default_config(task_ids=self.TASKS, seeds=(0,),
                                 methods=(METHOD_BASELINE,), n_jobs=2)
         runs_by_task = {task_id: run_one(METHOD_BASELINE, task_id, seed=0)
                         for task_id in self.TASKS}
-        pool = _ItemAwareFlakyPool(runs_by_task, fail_after=2)
-        monkeypatch.setattr(campaign_mod, "get_sim_pool",
-                            lambda jobs, **kwargs: pool)
-        monkeypatch.setattr(campaign_mod, "shutdown_sim_pool",
-                            lambda wait=True: None)
-        store = CampaignStore(tmp_path)
-        result = run_campaign(config, progress=progress, store=store)
-        assert [r.task_id for r in result.runs] == list(self.TASKS)
-        return result, store, pool
-
-    def test_completed_items_survive_the_heal(self, monkeypatch,
-                                              tmp_path):
+        pool = _FlakyPool(runs_by_task, fail_after=2)
+        _patch_pool(monkeypatch, pool)
+        store = CampaignStore(tmp_path) if with_store else None
         seen = []
-
-        def progress(index, total, run, attempt):
-            seen.append((attempt, index, total))
-
-        result, store, pool = self._run_flaky_with_store(
-            monkeypatch, tmp_path, progress)
-        # Attempt 0 lands items 1..2 and persists them; the healed
-        # retry computes only the third — completed count is monotonic
-        # across the heal, unlike the store-less full replay.
-        assert seen == [(0, 1, 3), (0, 2, 3), (1, 3, 3)]
-        assert pool.attempts == 2
-        assert len(store) == 3
-        assert result.store_misses == 3
+        result = run_campaign(
+            config, store=store,
+            progress=lambda i, n, run: seen.append((i, n, run.task_id)))
+        assert [r.task_id for r in result.runs] == list(self.TASKS)
+        # Attempt 0 lands items 1..2; the healed retry maps only the
+        # third, so the completed count is monotonic across the heal.
+        assert pool.mapped == [3, 1]
+        assert seen == [(1, 3, "cmb_and2"), (2, 3, "cmb_eq4"),
+                        (3, 3, "seq_dff")]
+        if with_store:
+            assert len(store) == 3
+            assert result.store_misses == 3
 
 
 class TestShardedCampaign:

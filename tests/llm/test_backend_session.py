@@ -13,14 +13,23 @@ The fault-sequence tests pin the resilience acceptance criteria: two
 429s then a timeout then success completes a correction round without
 surfacing an error; a spent retry budget fails with a typed
 ``BackendError``.
+
+The live-campaign test runs a parallel campaign against the stub: its
+items go to threads, never to the simulation process pool.
 """
+
+import threading
 
 import pytest
 from stub_server import error, ok, stall
 
+import repro.eval.campaign as campaign_mod
 from repro.core.agent import CorrectBenchWorkflow
 from repro.core.trace import MemoryTraceSink
 from repro.core.validator import DEFAULT_CRITERION
+from repro.eval import (METHOD_AUTOBENCH, METHOD_BASELINE, default_config,
+                        run_campaign)
+from repro.hdl.context import current_context
 from repro.llm import MeteredClient, UsageMeter, get_profile
 from repro.llm.backends import (BackendError, BudgetExhausted,
                                 ResilientBackend, RetryPolicy,
@@ -127,3 +136,46 @@ class TestFaultSequence:
         assert isinstance(excinfo.value, BackendError)
         assert excinfo.value.__cause__ is not None
         assert excinfo.value.__cause__.status == 500
+
+
+class TestLiveCampaign:
+    TASKS = ("cmb_and2", "cmb_eq4", "seq_dff")
+
+    def test_parallel_live_campaign_runs_on_threads(
+            self, stub, clean_response_cache, monkeypatch):
+        # Every request gets the same reply, so the answers do not
+        # depend on the order concurrent items reach the stub.
+        golden = get_task("cmb_and2").golden_rtl()
+        stub.script([ok(f"```verilog\n{golden}\n```", 10, 20)] * 400)
+        context = current_context().evolve(
+            llm_backend="openai", llm_model="stub-model",
+            llm_base_url=stub.base_url)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("live items must not use the sim pool")
+
+        worker = campaign_mod._worker
+        threads = set()
+
+        def thread_recording_worker(item):
+            threads.add(threading.current_thread().name)
+            return worker(item)
+
+        monkeypatch.setattr(campaign_mod, "get_sim_pool", no_pool)
+        monkeypatch.setattr(campaign_mod, "_worker",
+                            thread_recording_worker)
+
+        def campaign(n_jobs):
+            clean_response_cache.clear()
+            config = default_config(
+                task_ids=self.TASKS, seeds=(0,), n_jobs=n_jobs,
+                methods=(METHOD_BASELINE, METHOD_AUTOBENCH),
+                context=context)
+            return run_campaign(config).runs
+
+        serial = campaign(1)
+        assert threads == {threading.current_thread().name}
+        threads.clear()
+        assert campaign(2) == serial
+        assert threads and all(name.startswith("repro-llm")
+                               for name in threads)

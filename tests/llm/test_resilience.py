@@ -1,9 +1,10 @@
-"""Retry/backoff policy, rate-limit budgets, deadline propagation, the
-in-flight cap, and the thread fan-out helpers — all clock-injected."""
+"""Retry/backoff policy, rate-limit budgets, deadline propagation and
+the in-flight cap — all clock-injected."""
 
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,9 +14,8 @@ from repro.llm.backends import (BackendRateLimited, BackendRequestError,
                                 BackendServerError, BackendTimeout,
                                 BudgetExhausted, InFlightCap,
                                 RateLimitBudget, ResilientBackend,
-                                RetryPolicy, fan_out, iter_fan_out,
-                                remaining_deadline, set_global_in_flight,
-                                use_deadline)
+                                RetryPolicy, remaining_deadline,
+                                set_global_in_flight, use_deadline)
 
 
 def _request():
@@ -246,7 +246,8 @@ class TestInFlightCap:
                     active -= 1
             return index
 
-        assert fan_out(work, range(8), max_workers=8) == list(range(8))
+        with ThreadPoolExecutor(max_workers=8) as threads:
+            assert list(threads.map(work, range(8))) == list(range(8))
         assert peak <= 2
 
     def test_set_global_in_flight_swaps_the_shared_cap(self):
@@ -263,46 +264,3 @@ class TestInFlightCap:
         with pytest.raises(ValueError):
             InFlightCap(0)
 
-
-class TestFanOut:
-    def test_preserves_input_order(self):
-        def flip(index):
-            time.sleep(0.01 * (4 - index % 5))
-            return index * 10
-
-        assert fan_out(flip, range(10), max_workers=5) == \
-            [i * 10 for i in range(10)]
-
-    def test_single_worker_runs_serially(self):
-        threads = set()
-
-        def who(index):
-            threads.add(threading.current_thread().name)
-            return index
-
-        assert fan_out(who, range(4), max_workers=1) == list(range(4))
-        assert len(threads) == 1
-
-    def test_exception_propagates_by_default(self):
-        def boom(index):
-            if index == 2:
-                raise RuntimeError("task 2 failed")
-            return index
-
-        with pytest.raises(RuntimeError, match="task 2"):
-            fan_out(boom, range(4), max_workers=2)
-
-    def test_return_exceptions_keeps_positions(self):
-        def boom(index):
-            if index == 1:
-                raise RuntimeError("bad")
-            return index
-
-        results = fan_out(boom, range(3), max_workers=2,
-                          return_exceptions=True)
-        assert results[0] == 0 and results[2] == 2
-        assert isinstance(results[1], RuntimeError)
-
-    def test_iter_fan_out_yields_in_order(self):
-        assert list(iter_fan_out(lambda i: i + 1, range(6),
-                                 max_workers=3)) == [1, 2, 3, 4, 5, 6]
