@@ -24,7 +24,10 @@ reuse on top of it:
   variants, deduplicating identical sources and optionally spreading
   the work across the *persistent* worker pool (:func:`get_sim_pool`):
   created lazily, reused by every batch and campaign in the process,
-  torn down atexit.
+  torn down atexit.  Only a top-level process opens that pool: a
+  process started by :mod:`multiprocessing` (a campaign's pool worker,
+  a shard) runs its batches in-process, because the pool it belongs to
+  already fills the cores.
 
 One layer below, :mod:`repro.hdl.compile` shares slot-indexed compiled
 programs across elaborations, so even a *fresh* (driver, DUT) pairing
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import pickle
 import re
 import sys
@@ -675,6 +679,12 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 #   locally — before it sees its first work item.  A freshly *healed*
 #   pool re-snapshots the by-then-warm parent, so recovery from a
 #   killed worker also starts warm.
+#
+# The pool belongs to the process that created it.  A forked child
+# inherits the executor object (and possibly a held lock) but none of
+# its threads, so _forget_inherited_pool drops both in the child; and
+# _run_batch never opens a pool in a multiprocessing child at all
+# (see _nested_pool_allowed).
 _pool_lock = threading.Lock()
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
@@ -685,6 +695,41 @@ _pool_created_warm = False
 #: The layers a snapshot can carry (and fork can meaningfully inherit);
 #: used to decide whether this process has any warmth to give workers.
 _SNAPSHOT_LAYERS = ("tokenize", "parse", "design", "pair", "failure")
+
+
+def _forget_pool() -> None:
+    """Reset the pool globals to "no pool" (the caller holds the lock,
+    or is a freshly forked child)."""
+    global _pool, _pool_workers, _pool_start_method, _pool_warm_layers
+    global _pool_created_warm
+    _pool = None
+    _pool_workers = 0
+    _pool_start_method = ""
+    _pool_warm_layers = {}
+    _pool_created_warm = False
+
+
+def _forget_inherited_pool() -> None:
+    """After ``fork``, in the child: drop the parent's executor without
+    shutting it down (its management thread and workers belong to the
+    parent) and replace a lock that may have been held at fork time."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+    _forget_pool()
+
+
+os.register_at_fork(after_in_child=_forget_inherited_pool)
+
+
+def _nested_pool_allowed() -> bool:
+    """May this process fan a batch out over its own pool?
+
+    Not in a process started by :mod:`multiprocessing`: that child is
+    already one worker of a pool sized to the cores, so a nested pool
+    only adds processes — and a child that opened one could not exit,
+    since nothing shuts its pool down before the child joins its
+    workers."""
+    return multiprocessing.parent_process() is None
 
 
 def _caches_have_content() -> bool:
@@ -833,16 +878,10 @@ def sim_pool_info() -> dict:
 def shutdown_sim_pool(wait: bool = True) -> None:
     """Tear down the shared pool.  Registered atexit so worker processes
     never outlive the interpreter; safe to call repeatedly."""
-    global _pool, _pool_workers, _pool_start_method, _pool_warm_layers
-    global _pool_created_warm
     with _pool_lock:
         if _pool is not None:
             _pool.shutdown(wait=wait)
-            _pool = None
-            _pool_workers = 0
-            _pool_start_method = ""
-            _pool_warm_layers = {}
-            _pool_created_warm = False
+            _forget_pool()
 
 
 atexit.register(shutdown_sim_pool)
@@ -904,7 +943,9 @@ def _run_batch(worker, shared_src: str, dut_srcs,
     With the context's ``jobs > 1`` unique pairs spread over the
     *persistent* process pool (:func:`get_sim_pool`): workers survive
     across batch calls, so their caches stay warm and repeated small
-    batches skip the pool spin-up entirely.
+    batches skip the pool spin-up entirely.  In a process that is itself
+    a pool or shard worker the batch runs in-process instead
+    (:func:`_nested_pool_allowed`).
 
     The resolved :class:`SimContext` travels inside each work item and
     is activated in whichever process runs it — pool workers have their
@@ -916,7 +957,7 @@ def _run_batch(worker, shared_src: str, dut_srcs,
     order = list(dict.fromkeys(dut_list))
 
     items = [(shared_src, dut, context) for dut in order]
-    if context.jobs > 1 and len(order) > 1:
+    if context.jobs > 1 and len(order) > 1 and _nested_pool_allowed():
         unique_results = _pool_map(worker, items, context.jobs)
     else:
         unique_results = [worker(item) for item in items]

@@ -25,6 +25,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 from ..core.caches import caches, use_task_scope
@@ -155,6 +156,14 @@ def _worker(item: tuple) -> TaskRun:
                    context=context)
 
 
+def _run_group(group: list[tuple]) -> list[TaskRun]:
+    """Run one unit of executor work: items of one task, in order.
+
+    ``_worker`` is looked up per call, so a patched module attribute
+    takes effect (in forked pool workers too)."""
+    return [_worker(item) for item in group]
+
+
 def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
     """Warm this process's caches with each task's golden artifacts.
 
@@ -230,11 +239,14 @@ def _reporter(progress, total: int):
 
 def campaign_items(config: CampaignConfig,
                    context: SimContext | None = None) -> list[tuple]:
-    """The campaign's work items, in canonical (reporting) order.
+    """The campaign's work items, in canonical (reporting) order:
+    method, then seed, then task.
 
     Each item tuple is positionally compatible with
     :func:`repro.eval.store.store_key`, so ``store_key(*item)`` is the
-    item's persistent identity.
+    item's persistent identity.  Items are reported (``runs[]``) in this
+    order; :func:`run_campaign` *executes* them grouped by task (see
+    :func:`_task_groups`).
     """
     if context is None:
         context = config.resolved_context()
@@ -243,6 +255,27 @@ def campaign_items(config: CampaignConfig,
             for method in config.methods
             for seed in config.seeds
             for task_id in config.task_ids]
+
+
+def _task_groups(items: list[tuple], todo: list[int],
+                 task_ids: Sequence[str], n_jobs: int) -> list[list[int]]:
+    """Split the outstanding item indices ``todo`` (ascending) into
+    units of executor work.
+
+    Each task's outstanding items form one group, so one worker builds
+    the task's golden artifacts, mutants, parses and compiled programs
+    once for all of its items.  Groups follow ``task_ids`` order, and
+    items keep canonical order inside a group.  When fewer tasks are
+    outstanding than ``n_jobs``, each task's items are dealt round-robin
+    into ``ceil(n_jobs / tasks)`` groups, so every worker gets work.
+    """
+    by_task: dict[str, list[int]] = {task_id: [] for task_id in task_ids}
+    for index in todo:
+        by_task[items[index][1]].append(index)
+    outstanding = [indices for indices in by_task.values() if indices]
+    ways = -(-n_jobs // max(1, len(outstanding)))  # ceil division
+    return [indices[way::ways] for indices in outstanding
+            for way in range(min(ways, len(indices)))]
 
 
 def _resolve_store(context: SimContext,
@@ -295,22 +328,31 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     boundary, so ``n_jobs > 1`` runs them on threads instead; wire
     concurrency stays bounded by the backends' global in-flight cap.
 
+    Dispatch is task-affine: the outstanding items are grouped by task
+    (:func:`_task_groups`) and each group is one unit of pool or thread
+    work, so a task's golden artifacts, mutants and compiled programs
+    are built in one worker rather than in every worker; a serial
+    campaign simply runs its items task by task.  ``runs`` stays in
+    canonical :func:`campaign_items` order either way.
+
     ``progress`` is called as ``progress(done, total, run)`` exactly
-    once per item, ``done`` counting up from 1; a callback accepting a
-    ``skipped`` keyword can also tell store hits from computed results.
+    once per item, in completion order, ``done`` counting up from 1; a
+    callback accepting a ``skipped`` keyword can also tell store hits
+    from computed results.
 
     With a ``store`` (explicit argument, or opened from the resolved
     context's ``store_dir`` / ``REPRO_STORE_DIR``), every completed item
-    is persisted immediately — a killed campaign loses at most the item
-    in flight.  ``resume=True`` additionally boots the caches from the
-    store's co-located snapshot (if one was saved) and answers
-    already-stored items without resimulating them; hits are reported
-    through ``progress`` first and counted in
-    ``CampaignResult.store_hits``.
+    is persisted as soon as its result reaches this process — a killed
+    campaign loses at most the work in flight (a serial campaign's
+    current item; each pool worker's current task group).
+    ``resume=True`` additionally boots the caches from the store's
+    co-located snapshot (if one was saved) and answers already-stored
+    items without resimulating them; hits are reported through
+    ``progress`` first and counted in ``CampaignResult.store_hits``.
 
     A broken pool is healed once: the pool is recreated and only the
-    items not yet finished run again, so completed work survives the
-    heal with or without a store.
+    items not yet recorded run again, regrouped by task, so completed
+    work survives the heal with or without a store.
     """
     context = config.resolved_context()
     items = campaign_items(config, context)
@@ -348,16 +390,17 @@ def run_campaign(config: CampaignConfig, progress=None, *,
             store.put(store_key(*items[index]), run)
         report(run)
 
-    def start(batch: list[tuple]):
+    def start(groups: list[list[tuple]]):
+        """An iterator of runs, one per item, in ``groups`` order."""
         # _worker and get_sim_pool are looked up here, per call, so a
         # patched module attribute takes effect.
         if threaded:
-            return threads.map(_worker, batch)
+            return chain.from_iterable(threads.map(_run_group, groups))
         if pooled:
             pool = get_sim_pool(n_jobs, start_method=context.start_method,
                                 warm_start=context.warm_start)
-            return pool.map(_worker, batch, chunksize=4)
-        return map(_worker, batch)
+            return chain.from_iterable(pool.map(_run_group, groups))
+        return map(_worker, chain.from_iterable(groups))
 
     with (ThreadPoolExecutor(n_jobs, thread_name_prefix="repro-llm")
           if threaded else nullcontext()) as threads:
@@ -365,10 +408,13 @@ def run_campaign(config: CampaignConfig, progress=None, *,
             todo = [index for index, run in enumerate(runs) if run is None]
             if not todo:
                 break
+            groups = _task_groups(items, todo, config.task_ids, n_jobs)
             results = None
             try:
-                results = start([items[index] for index in todo])
-                for index, run in zip(todo, results, strict=True):
+                results = start([[items[index] for index in group]
+                                 for group in groups])
+                for index, run in zip(chain.from_iterable(groups), results,
+                                      strict=True):
                     record(index, run)
             except RuntimeError as error:
                 if attempt or not _pool_failure(error, results):

@@ -14,7 +14,7 @@ from repro.core.caches import caches
 from repro.core.simulation import (_pool_map, get_sim_pool,
                                    run_driver_batch, shutdown_sim_pool,
                                    sim_pool_info)
-from repro.hdl import use_context
+from repro.hdl import SimContext, use_context
 from repro.problems import get_task
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -124,6 +124,43 @@ class TestPoolHeal:
         assert _pool_map(_log_then_fail_last, items, jobs=2) == [0, 1, 2]
         assert sorted(log.read_text().split()) == ["0", "1", "2"]
         assert sim_pool_info()["alive"]
+
+
+def _report_child_pool(path: str) -> None:
+    """Runs in a forked child: what did it inherit, and where does its
+    jobs=2 batch run?"""
+    from repro.core import simulation
+
+    driver, duts = _driver_and_duts()
+    runs = run_driver_batch(driver, duts, context=SimContext(jobs=2))
+    Path(path).write_text(repr((sim_pool_info()["alive"],
+                                simulation._nested_pool_allowed(),
+                                all(run.ok for run in runs))))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+class TestNestedPools:
+    def test_forked_child_forgets_pool_and_batches_in_process(
+            self, tmp_path):
+        # The child inherits the parent's executor object but not its
+        # threads: it must drop it, and run its own batch in-process
+        # rather than open a pool nothing would shut down.  The pool is
+        # fresh and unused, so no executor thread is alive at the fork.
+        shutdown_sim_pool()
+        get_sim_pool(2)
+        report = tmp_path / "child.txt"
+        child = multiprocessing.get_context("fork").Process(
+            target=_report_child_pool, args=(str(report),))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():  # pragma: no cover - the regression
+            child.kill()
+            pytest.fail("forked child hung")
+        assert child.exitcode == 0
+        assert report.read_text() == repr((False, False, True))
+        assert sim_pool_info()["alive"]  # the parent's pool is untouched
+        shutdown_sim_pool()
 
 
 class TestStartMethodAndWarmStart:

@@ -1,12 +1,20 @@
 """Campaign runner: per-method work items, determinism, reporting,
 the pluggable method registry, progress across healed-pool retries and
-store-backed resume/shard semantics."""
+store-backed resume/shard semantics, and task-affine dispatch."""
 
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 import repro.eval.campaign as campaign_mod
+from repro.core.simulation import shutdown_sim_pool
 from repro.eval import (CampaignStore, EvalLevel, StoreError,
                         campaign_items, default_config, register_method,
                         registered_methods, render_store_summary,
@@ -16,6 +24,7 @@ from repro.eval import (CampaignStore, EvalLevel, StoreError,
                         unregister_method)
 from repro.eval.campaign import (METHOD_AUTOBENCH, METHOD_BASELINE,
                                  METHOD_CORRECTBENCH, campaign_method)
+from repro.eval.golden import golden_artifacts
 from repro.hdl.context import current_context, use_context
 
 EASY_TASK = "cmb_and2"
@@ -147,10 +156,16 @@ class TestMethodRegistry:
 # ----------------------------------------------------------------------
 # Progress across healed-pool retries
 # ----------------------------------------------------------------------
+def _answer(runs_by_task, group):
+    """A mapped task group's results: one run per item."""
+    return [runs_by_task[item[1]] for item in group]  # item[1] == task_id
+
+
 class _FlakyPool:
-    """Answers each mapped item from ``runs_by_task``; on the first
-    ``map`` only, raises ``error`` once ``fail_after`` items have been
-    yielded.  ``mapped`` records how many items each ``map`` received."""
+    """Answers each mapped task group from ``runs_by_task``; on the
+    first ``map`` only, raises ``error`` once ``fail_after`` items have
+    been yielded.  ``mapped`` records how many items (not groups) each
+    ``map`` received."""
 
     def __init__(self, runs_by_task, fail_after, error=None):
         self.runs_by_task = runs_by_task
@@ -158,16 +173,18 @@ class _FlakyPool:
         self.error = error or BrokenProcessPool("worker died")
         self.mapped = []
 
-    def map(self, fn, items, chunksize=1):
-        items = list(items)
+    def map(self, fn, groups, chunksize=1):
+        groups = list(groups)
         first = not self.mapped
-        self.mapped.append(len(items))
+        self.mapped.append(sum(len(group) for group in groups))
 
         def generate():
-            for index, item in enumerate(items):
-                if first and index == self.fail_after:
+            yielded = 0
+            for group in groups:
+                if first and yielded >= self.fail_after:
                     raise self.error
-                yield self.runs_by_task[item[1]]  # item[1] == task_id
+                yield _answer(self.runs_by_task, group)
+                yielded += len(group)
         return generate()
 
 
@@ -224,12 +241,12 @@ class TestRetryProgress:
         class ShutDownOncePool:
             calls = 0
 
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, groups, chunksize=1):
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError(
                         "cannot schedule new futures after shutdown")
-                return (runs_by_task[item[1]] for item in items)
+                return (_answer(runs_by_task, group) for group in groups)
 
         pool = ShutDownOncePool()
         _patch_pool(monkeypatch, pool)
@@ -242,7 +259,7 @@ class TestRetryProgress:
                                 methods=(METHOD_BASELINE,), n_jobs=2)
 
         class DeadPool:
-            def map(self, fn, items, chunksize=1):
+            def map(self, fn, groups, chunksize=1):
                 raise BrokenProcessPool("still dead")
 
         _patch_pool(monkeypatch, DeadPool())
@@ -370,8 +387,8 @@ class TestStoreResume:
             return prewarm(task_ids)
 
         class InlinePool:
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, groups, chunksize=1):
+                return map(fn, groups)
 
         monkeypatch.setattr(campaign_mod, "prewarm_campaign_caches",
                             counting_prewarm)
@@ -461,3 +478,144 @@ class TestShardedCampaign:
                                       store=store)
         assert result.store_hits == 6
         assert result.runs == run_campaign(self._config()).runs
+
+
+# ----------------------------------------------------------------------
+# Task-affine dispatch
+# ----------------------------------------------------------------------
+class TestTaskGroups:
+    TASKS = ("cmb_and2", "cmb_eq4", "seq_dff", "seq_tff")
+
+    def _items(self, tasks=TASKS, seeds=(0, 1)):
+        return campaign_items(default_config(task_ids=tasks, seeds=seeds))
+
+    def _groups(self, items, todo, tasks=TASKS, n_jobs=2):
+        return campaign_mod._task_groups(items, todo, tasks, n_jobs)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3, 4, 7, 16])
+    def test_groups_partition_todo_in_canonical_order(self, n_jobs):
+        items = self._items()
+        todo = list(range(len(items)))
+        groups = self._groups(items, todo, n_jobs=n_jobs)
+        assert sorted(index for group in groups for index in group) == todo
+        for group in groups:
+            assert group == sorted(group)
+            assert len({items[index][1] for index in group}) == 1
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_one_group_per_task_when_tasks_cover_the_workers(self, n_jobs):
+        items = self._items()
+        groups = self._groups(items, list(range(len(items))), n_jobs=n_jobs)
+        assert [items[group[0]][1] for group in groups] == list(self.TASKS)
+        assert [len(group) for group in groups] == [6] * 4  # 3 methods x 2
+
+    @pytest.mark.parametrize("n_jobs", [2, 3, 5, 6])
+    def test_few_tasks_split_across_the_workers(self, n_jobs):
+        tasks = ("cmb_and2",) if n_jobs != 5 else ("cmb_and2", "seq_dff")
+        items = self._items(tasks)
+        groups = self._groups(items, list(range(len(items))), tasks, n_jobs)
+        assert len(groups) >= n_jobs
+        # Items are dealt round-robin, so group sizes differ by <= 1
+        # within a task.
+        for task_id in tasks:
+            sizes = [len(group) for group in groups
+                     if items[group[0]][1] == task_id]
+            assert max(sizes) - min(sizes) <= 1
+
+    def test_uneven_resume_groups_only_outstanding_items(self):
+        items = self._items()
+        # cmb_and2 is finished, cmb_eq4 has one item left, seq_dff all
+        # six, seq_tff two: groups follow task order, skip the finished
+        # task and hold exactly each task's outstanding items.
+        left = {"cmb_eq4": 1, "seq_dff": 6, "seq_tff": 2}
+        todo = []
+        for index, item in enumerate(items):
+            if left.get(item[1], 0) > 0:
+                left[item[1]] -= 1
+                todo.append(index)
+        groups = self._groups(items, todo)
+        assert [items[group[0]][1] for group in groups] == [
+            "cmb_eq4", "seq_dff", "seq_tff"]
+        assert [len(group) for group in groups] == [1, 6, 2]
+        assert sorted(index for group in groups for index in group) == todo
+
+    def test_one_task_left_still_fills_the_pool(self):
+        items = self._items()
+        todo = [index for index, item in enumerate(items)
+                if item[1] == "seq_tff"]
+        groups = self._groups(items, todo, n_jobs=2)
+        assert groups == [todo[0::2], todo[1::2]]
+
+
+def _payloads(runs):
+    return [run.to_payload() for run in runs]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+class TestTaskAffinePool:
+    TASKS = ("cmb_and2", "cmb_eq4")
+
+    def test_each_task_builds_its_goldens_in_one_process(
+            self, monkeypatch, tmp_path):
+        log = tmp_path / "golden-builds.log"
+
+        def logging_golden(task_id):
+            misses = golden_artifacts.cache_info().misses
+            golden = golden_artifacts(task_id)
+            if golden_artifacts.cache_info().misses > misses:
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()} {task_id}\n")
+            return golden
+
+        config = default_config(
+            task_ids=self.TASKS, seeds=(0, 1), n_jobs=2,
+            context=current_context().evolve(start_method="fork"))
+        # A fresh pool forks after the patch, from a parent holding no
+        # golden artifacts.
+        shutdown_sim_pool()
+        golden_artifacts.cache_clear()
+        monkeypatch.setattr(campaign_mod, "golden_artifacts", logging_golden)
+        try:
+            pooled = run_campaign(config)
+        finally:
+            shutdown_sim_pool()
+        builds = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(task_id for _, task_id in builds) == list(self.TASKS)
+        assert all(int(pid) != os.getpid() for pid, _ in builds)
+        serial = run_campaign(default_config(task_ids=self.TASKS,
+                                             seeds=(0, 1), n_jobs=1))
+        assert _payloads(pooled.runs) == _payloads(serial.runs)
+
+    def test_nested_pools_complete(self):
+        # Campaign workers whose items ask for jobs=2 (per-mutant sweeps
+        # fan batches out) must neither reuse the parent's forked pool
+        # nor open pools they cannot shut down.
+        code = (
+            "import json\n"
+            "from repro.eval import default_config, run_campaign\n"
+            "from repro.hdl import current_context\n"
+            "context = current_context().evolve(\n"
+            "    jobs=2, start_method='fork', mutant_engine='per-mutant')\n"
+            f"config = default_config(task_ids={self.TASKS!r}, seeds=(0,),\n"
+            "    methods=('baseline', 'autobench'), n_jobs=2,\n"
+            "    context=context)\n"
+            "runs = run_campaign(config).runs\n"
+            "print(json.dumps([run.to_payload() for run in runs]))\n")
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        process = subprocess.Popen(
+            [sys.executable, "-c", code], env=env, cwd=root,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = process.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("nested-pool campaign hung")
+        assert process.returncode == 0, err
+        serial = run_campaign(default_config(
+            task_ids=self.TASKS, seeds=(0,),
+            methods=(METHOD_BASELINE, METHOD_AUTOBENCH), n_jobs=1))
+        assert json.loads(out) == _payloads(serial.runs)
