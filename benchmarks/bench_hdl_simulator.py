@@ -415,100 +415,6 @@ def bench_mutant_sweep(seconds: float, task_id: str = "seq_count8_en",
     return out
 
 
-def _pid_after_hold(delay: float = 0.05) -> int:
-    """Pool-worker probe for the warm-start bench's boot barrier: hold
-    the worker briefly (so a sibling gets scheduled too), then report
-    which process ran.  Module-level so spawn workers can unpickle it."""
-    time.sleep(delay)
-    return os.getpid()
-
-
-def bench_pool_warm_start(seconds: float, task_id: str = "seq_count8_en",
-                          n_variants: int = 20, jobs: int = 2) -> dict:
-    """Warm-start value on spawn-started pools, parity on fork.
-
-    A spawn-started worker begins as a blank interpreter; its first
-    batch historically paid the full front end (parse + elaborate +
-    compile) for every unique (driver, DUT) pair.  With warm start, pool
-    creation ships a CacheSnapshot and workers rebuild the templates in
-    their initializer — so the timed first batch runs at template-hit
-    steady state.  Worker boot (interpreter + imports + initializer) is
-    deliberately excluded from the timing via a sleep barrier that
-    forces every worker up first: the boot cost is paid once per pool,
-    the cold-cache cost otherwise recurs on every fresh/healed worker.
-
-    ``fork_parity`` guards the other direction: forked workers inherit
-    caches through memory, so the warm-start machinery must not tax the
-    default path (no snapshot is shipped to fork pools).
-    """
-    from repro.core.simulation import get_sim_pool, shutdown_sim_pool
-
-    task = get_task(task_id)
-    driver = render_driver(task, task.canonical_scenarios())
-    variants = [m.source for m in generate_mutants(
-        task.golden_rtl(), n_variants, task.task_id)]
-
-    # Warm the parent once: this is what the snapshot will carry.
-    run_driver_batch(driver, variants,
-                     context=current_context().evolve(jobs=1))
-
-    def boot_barrier(pool) -> None:
-        # Wait until every worker has *checked in* (returned its PID):
-        # a worker only runs tasks after its initializer completes, so
-        # N distinct PIDs proves all N workers are booted and warmed.
-        # Submitting plain sleeps is not enough — an already-booted
-        # worker can drain the whole queue while a slow sibling is
-        # still importing, which would push that sibling's boot (and
-        # snapshot import) into the timed window.
-        seen: set = set()
-        for _ in range(200):  # bound the wait (~10 s worst case)
-            futures = [pool.submit(_pid_after_hold)
-                       for _ in range(jobs * 2)]
-            seen |= {future.result() for future in futures}
-            if len(seen) >= jobs:
-                return
-        raise RuntimeError(f"pool workers never all booted ({seen})")
-
-    def first_batch_ms(warm: bool) -> float:
-        with use_context(start_method="spawn", warm_start=warm, jobs=jobs):
-            shutdown_sim_pool()
-            pool = get_sim_pool(jobs)
-            boot_barrier(pool)
-            t0 = time.perf_counter()
-            runs = run_driver_batch(driver, variants)
-            elapsed = time.perf_counter() - t0
-            assert all(run.ok for run in runs)
-            shutdown_sim_pool()
-            return elapsed * 1000
-
-    rounds = max(2, int(seconds / 0.3))
-    out = {
-        "spawn_cold_first_batch_ms": min(first_batch_ms(False)
-                                         for _ in range(rounds)),
-        "spawn_warm_first_batch_ms": min(first_batch_ms(True)
-                                         for _ in range(rounds)),
-    }
-    out["warm_start_speedup"] = (out["spawn_cold_first_batch_ms"]
-                                 / out["spawn_warm_first_batch_ms"])
-
-    # Fork path: steady-state batches with warm start on vs off must be
-    # at parity (the flag ships nothing to fork pools).
-    def fork_steady_ms(warm: bool) -> float:
-        with use_context(warm_start=warm, jobs=jobs):
-            shutdown_sim_pool()
-            run_driver_batch(driver, variants)  # pool up + warm
-            return _time_repeated(
-                lambda: run_driver_batch(driver, variants),
-                seconds) * 1000
-
-    out["fork_steady_warm_ms"] = fork_steady_ms(True)
-    out["fork_steady_cold_flag_ms"] = fork_steady_ms(False)
-    out["fork_parity"] = (out["fork_steady_warm_ms"]
-                          / out["fork_steady_cold_flag_ms"])
-    shutdown_sim_pool()
-    return out
-
-
 def bench_context_overhead(seconds: float) -> dict:
     """Cost of the PR-4 configuration API on the hot path.
 
@@ -717,7 +623,6 @@ def main(argv) -> int:
     reuse = bench_driver_reuse(seconds)
     context = bench_context_overhead(seconds)
     sweep = bench_mutant_sweep(seconds)
-    warm = bench_pool_warm_start(seconds)
     service = bench_service_throughput(seconds)
     resume = bench_campaign_resume(seconds)
 
@@ -730,7 +635,6 @@ def main(argv) -> int:
         "driver_reuse_10_variants": reuse,
         "context_overhead": context,
         "mutant_sweep_20": sweep,
-        "pool_warm_start": warm,
         "service_throughput": service,
         "campaign_resume": resume,
     }
@@ -789,22 +693,6 @@ def main(argv) -> int:
         print("WARNING: lockstep mutant sweep only "
               f"{sweep['lockstep_speedup']:.2f}x the per-mutant path "
               f"(< {lockstep_floor}x)", file=sys.stderr)
-        ok = False
-    # Warm-started spawn pools must beat unwarmed ones on the first
-    # batch (the whole point of shipping the snapshot), and the fork
-    # path — which ships nothing — must stay at parity.  Spawn timing on
-    # shared runners is noisy, so the quick floor carries headroom below
-    # the measured ~2x.
-    warm_floor = 1.1 if quick else 1.15
-    if warm["warm_start_speedup"] < warm_floor:
-        print("WARNING: warm spawn-pool first batch only "
-              f"{warm['warm_start_speedup']:.2f}x the cold one "
-              f"(< {warm_floor}x)", file=sys.stderr)
-        ok = False
-    if warm["fork_parity"] > 1.3:
-        print("WARNING: fork steady state with warm_start on is "
-              f"{warm['fork_parity']:.2f}x the off path (> 1.3x)",
-              file=sys.stderr)
         ok = False
     # Cross-request micro-batching is the PR-8 tentpole: coalesced
     # windows must beat unbatched serial dispatch under the same

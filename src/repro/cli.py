@@ -12,9 +12,8 @@ Subcommands:
   (``serve --status`` queries a running server's telemetry endpoint).
 
 ``run``/``validate``/``campaign`` accept ``--engine`` and ``--lexer``,
-and ``campaign`` additionally ``--start-method`` and
-``--warm-start/--no-warm-start`` (worker-pool start method and
-cache-snapshot warm-up) plus ``--store DIR`` / ``--resume`` /
+and ``campaign`` additionally ``--start-method`` (worker-pool start
+method) plus ``--store DIR`` / ``--resume`` /
 ``--shards N`` (persistent artifact store, kill-resume, and the shard
 coordinator); the selections feed a
 :class:`~repro.hdl.context.SimContext` activated around the command
@@ -64,7 +63,7 @@ def _backend_spec(value: str) -> str:
 def _context(args):
     """The SimContext for this invocation: the ambient context evolved
     with whatever ``--engine`` / ``--lexer`` / ``--start-method`` /
-    ``--warm-start`` / ``--backend`` selected."""
+    ``--backend`` selected."""
     overrides = {}
     if getattr(args, "engine", None):
         overrides["engine"] = args.engine
@@ -72,8 +71,6 @@ def _context(args):
         overrides["lexer"] = args.lexer
     if getattr(args, "start_method", None):
         overrides["start_method"] = args.start_method
-    if getattr(args, "warm_start", None) is not None:
-        overrides["warm_start"] = args.warm_start
     if getattr(args, "trace_dir", None):
         overrides["trace_dir"] = args.trace_dir
     if getattr(args, "store", None):
@@ -404,11 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, dest="start_method",
                         help="worker-pool start method "
                              "(default: active context / platform)")
-    p_camp.add_argument("--warm-start", action=argparse.BooleanOptionalAction,
-                        default=None, dest="warm_start",
-                        help="pre-warm pool workers with a cache snapshot "
-                             "built from the task list "
-                             "(default: active context, on)")
     p_camp.add_argument("--store", default=None,
                         help="persist every completed item into this "
                              "campaign artifact store directory "

@@ -27,8 +27,9 @@ of elaborated templates, and recorded elaboration failures.
 by registering ``export`` / ``import_`` callables; layers without them
 (the program cache) are simply absent from snapshots.  Importing a
 snapshot *re-derives* the closure-bearing layers — template signatures
-are re-elaborated and re-compiled locally — so a spawn-started pool
-worker reaches the same steady state a forked worker inherits for free.
+are re-elaborated and re-compiled locally — so a resumed campaign or a
+shard worker booting from a store's snapshot starts with its goldens
+built.
 
 **Task scoping.**  Campaign sweeps interleave many tasks; one task's
 mutant flood used to evict another task's warm templates from the shared
@@ -60,11 +61,10 @@ class CacheSnapshot:
 
     ``payloads`` maps registered layer names to layer-defined payloads;
     the shapes are owned by each layer's ``export`` / ``import_`` pair
-    and are opaque here.  Snapshots travel to pool workers through a
-    :class:`~concurrent.futures.ProcessPoolExecutor` initializer (see
-    :func:`repro.core.simulation.get_sim_pool`), but they are plain
-    values — pickling one to disk and importing it in tomorrow's
-    process works just as well.
+    and are opaque here.  Snapshots are plain values: a campaign store
+    pickles one to disk (see
+    :meth:`repro.eval.store.CampaignStore.save_snapshot`) and a resumed
+    run imports it in tomorrow's process.
 
     >>> snap = CacheSnapshot(payloads={"parse": {"module m; endmodule": 1}})
     >>> snap.layers()

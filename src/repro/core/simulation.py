@@ -44,15 +44,11 @@ register with :data:`repro.core.caches.caches`, the one handle for
 clearing them (``caches.clear(...)``) and reading their counters
 (``caches.stats()``).
 
-Pool workers start *warm*: forked workers inherit the parent's caches
-through memory, and spawn/forkserver workers (where compiled closures
-cannot be pickled across) import a
-:class:`~repro.core.caches.CacheSnapshot` — token streams, ASTs,
-template signatures, cached failures — shipped through the executor
-initializer, re-deriving the closure layers locally before their first
-work item.  ``SimContext.start_method`` / ``warm_start`` select the
-behaviour; :func:`sim_pool_info` reports the live pool's state, and the
-``pool_warm_start`` bench gates the win.
+Pool workers fill their own caches: a forked worker starts with a copy
+of the parent's, a spawn/forkserver worker starts empty, and either
+keeps what it builds for the life of the pool.  ``SimContext.start_method``
+selects the start method; :func:`sim_pool_info` reports the live pool's
+state.
 """
 
 from __future__ import annotations
@@ -60,9 +56,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import pickle
 import re
-import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -350,9 +344,8 @@ def _import_failure_cache(entries: dict) -> int:
 # template layers export only their *keys* (scope + source signature)
 # and the importer re-elaborates each one locally, against the (already
 # imported, hence warm) token and AST caches.  That front-loads the
-# parse/elaborate/compile cost into pool-worker initialization, which
-# is exactly the point: a spawn-started worker's first batch then runs
-# at fork-path steady state.
+# parse/elaborate/compile cost into the import of a store's snapshot,
+# so a resumed run or a shard worker starts its first item warm.
 def _import_design_keys(keys) -> int:
     return _rebuild_templates(keys, lambda key: design_template(*key))
 
@@ -656,29 +649,19 @@ def dut_compiles(dut_src: str) -> tuple[bool, str]:
 
 
 # ----------------------------------------------------------------------
-# Persistent worker pool (with warm-start)
+# Persistent worker pool
 # ----------------------------------------------------------------------
 # One ProcessPoolExecutor is shared by every batch and campaign call in
 # the process: created lazily on first use, grown monotonically to the
 # largest worker count requested, recreated with the same configuration
 # if a worker dies (see _pool_map), and torn down atexit.
 #
-# How workers get warm depends on the start method, resolved through
-# ``SimContext.start_method``:
-#
-# - **fork** (the Linux default): workers inherit the parent's token /
-#   AST / template / program caches through copy-on-write memory — no
-#   transfer needed, so no snapshot is shipped.
-# - **spawn / forkserver**: workers begin as blank interpreters, and
-#   compiled-closure programs cannot be pickled across.  When the
-#   active context's ``warm_start`` flag is set (the default), pool
-#   creation exports a CacheSnapshot (token streams, ASTs, template
-#   signatures, cached failures) from this process and ships it to each
-#   worker through the executor's ``initializer``; the worker imports
-#   it — re-elaborating and re-compiling the template signatures
-#   locally — before it sees its first work item.  A freshly *healed*
-#   pool re-snapshots the by-then-warm parent, so recovery from a
-#   killed worker also starts warm.
+# ``SimContext.start_method`` picks how workers start.  A forked worker
+# inherits the parent's caches through copy-on-write memory; a spawn or
+# forkserver worker starts as a blank interpreter.  Either way a worker
+# builds what its own work items need and keeps it for the life of the
+# pool: campaigns dispatch each task's items to one worker, so a task's
+# goldens are built once per campaign.
 #
 # The pool belongs to the process that created it.  A forked child
 # inherits the executor object (and possibly a held lock) but none of
@@ -689,24 +672,15 @@ _pool_lock = threading.Lock()
 _pool: ProcessPoolExecutor | None = None
 _pool_workers = 0
 _pool_start_method = ""
-_pool_warm_layers: dict = {}
-_pool_created_warm = False
-
-#: The layers a snapshot can carry (and fork can meaningfully inherit);
-#: used to decide whether this process has any warmth to give workers.
-_SNAPSHOT_LAYERS = ("tokenize", "parse", "design", "pair", "failure")
 
 
 def _forget_pool() -> None:
     """Reset the pool globals to "no pool" (the caller holds the lock,
     or is a freshly forked child)."""
-    global _pool, _pool_workers, _pool_start_method, _pool_warm_layers
-    global _pool_created_warm
+    global _pool, _pool_workers, _pool_start_method
     _pool = None
     _pool_workers = 0
     _pool_start_method = ""
-    _pool_warm_layers = {}
-    _pool_created_warm = False
 
 
 def _forget_inherited_pool() -> None:
@@ -732,11 +706,6 @@ def _nested_pool_allowed() -> bool:
     return multiprocessing.parent_process() is None
 
 
-def _caches_have_content() -> bool:
-    stats = caches.stats(*_SNAPSHOT_LAYERS)
-    return any(layer.get("size", 0) > 0 for layer in stats.values())
-
-
 def _resolve_start_method(name: str | None) -> str:
     """Map a context ``start_method`` to a concrete multiprocessing
     start method, validating platform availability."""
@@ -749,74 +718,29 @@ def _resolve_start_method(name: str | None) -> str:
     return name
 
 
-def _warm_start_initializer(payload: bytes) -> None:
-    """Run once in each fresh worker: import the shipped snapshot.
-
-    Any failure degrades the worker to a cold start instead of raising:
-    an initializer exception would break the entire pool, and a warm
-    start is an optimization, never a correctness requirement.
-    """
-    try:
-        caches.import_snapshot(pickle.loads(payload))
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"warning: pool warm-start import failed ({exc}); "
-              f"worker starts cold", file=sys.stderr)
-
-
-def get_sim_pool(jobs: int, start_method: str | None = None,
-                 warm_start: bool | None = None) -> ProcessPoolExecutor:
+def get_sim_pool(jobs: int,
+                 start_method: str | None = None) -> ProcessPoolExecutor:
     """Return the shared persistent process pool.
 
     The pool grows if ``jobs`` exceeds its current worker count (it
     never shrinks) and is recreated if ``start_method`` (explicit
     argument, else the active context's) differs from the live pool's.
-    ``warm_start=None`` resolves through the active context; snapshots
-    are only shipped to non-fork pools (forked workers inherit warm
-    caches through process memory).
-
-    A pool created while this process was still *cold* (nothing cached
-    — e.g. a batch ran before any warm-up) is recreated once, the first
-    time warmth is requested and the parent actually has cached state:
-    worker warm-up only happens at creation (snapshot initializer /
-    fork memory image), so without the recreate such a pool would stay
-    cold forever — campaigns that pre-warm after an early batch would
-    silently get cold workers.  A pool created warm is never churned:
-    later cache growth does not trigger recreation.
     """
-    global _pool, _pool_workers, _pool_start_method, _pool_warm_layers
-    global _pool_created_warm
+    global _pool, _pool_workers, _pool_start_method
     jobs = max(1, int(jobs))
-    context = current_context()
-    method = _resolve_start_method(start_method or context.start_method)
-    warm = context.warm_start if warm_start is None else warm_start
+    method = _resolve_start_method(start_method
+                                   or current_context().start_method)
     with _pool_lock:
-        if _pool is not None:
-            stale_cold = (warm and not _pool_created_warm
-                          and _caches_have_content())
-            if (_pool_workers < jobs or _pool_start_method != method
-                    or stale_cold):
-                _pool.shutdown(wait=False)
-                _pool = None
+        if _pool is not None and (_pool_workers < jobs
+                                  or _pool_start_method != method):
+            _pool.shutdown(wait=False)
+            _pool = None
         if _pool is None:
-            initializer = None
-            initargs = ()
-            warm_layers: dict = {}
-            content = _caches_have_content()
-            if warm and content and method != "fork":
-                snapshot = caches.export_snapshot()
-                if snapshot:
-                    initializer = _warm_start_initializer
-                    initargs = (pickle.dumps(
-                        snapshot, protocol=pickle.HIGHEST_PROTOCOL),)
-                    warm_layers = snapshot.counts()
             _pool = ProcessPoolExecutor(
                 max_workers=jobs,
-                mp_context=multiprocessing.get_context(method),
-                initializer=initializer, initargs=initargs)
+                mp_context=multiprocessing.get_context(method))
             _pool_workers = jobs
             _pool_start_method = method
-            _pool_warm_layers = warm_layers
-            _pool_created_warm = warm and content
         return _pool
 
 
@@ -842,36 +766,19 @@ def _pool_load(pool) -> tuple[int, int]:
 def sim_pool_info() -> dict:
     """Telemetry: whether the shared pool is alive, its configured
     worker count, worker PIDs, the start method it was created with,
-    its warm/cold state, and its current load (``queue_depth`` /
-    ``in_flight``) — the counters the service telemetry endpoint and
-    ``repro serve --status`` report.
-
-    ``warm`` reports how workers acquired caches *at pool creation*:
-    ``"inherited"`` for fork pools forked from a warm parent
-    (copy-on-write memory), ``"snapshot"`` when a warm-start artifact
-    was shipped through the initializer (``warm_layers`` then counts
-    the entries per layer), and ``"cold"`` when neither applies
-    (warm-start disabled, or nothing was cached at creation time —
-    though such a pool is recreated warm on the next warm-requesting
-    call once the parent has cached state; see :func:`get_sim_pool`).
+    and its current load (``queue_depth`` / ``in_flight``) — the
+    counters the service telemetry endpoint and ``repro serve --status``
+    report.
     """
     with _pool_lock:
         if _pool is None:
             return {"alive": False, "workers": 0, "pids": (),
-                    "start_method": "", "warm": "cold",
-                    "warm_layers": {}, "queue_depth": 0, "in_flight": 0}
+                    "start_method": "", "queue_depth": 0, "in_flight": 0}
         processes = getattr(_pool, "_processes", None) or {}
-        if _pool_start_method == "fork":
-            warm = "inherited" if _pool_created_warm else "cold"
-        elif _pool_warm_layers:
-            warm = "snapshot"
-        else:
-            warm = "cold"
         queue_depth, in_flight = _pool_load(_pool)
         return {"alive": True, "workers": _pool_workers,
                 "pids": tuple(sorted(processes.keys())),
-                "start_method": _pool_start_method, "warm": warm,
-                "warm_layers": dict(_pool_warm_layers),
+                "start_method": _pool_start_method,
                 "queue_depth": queue_depth, "in_flight": in_flight}
 
 

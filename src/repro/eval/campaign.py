@@ -29,9 +29,9 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from ..core.caches import caches, use_task_scope
-from ..core.simulation import (design_template, get_sim_pool,
-                               shutdown_sim_pool, _pair_template,
-                               _pool_failure, _resolve_start_method)
+from ..core.simulation import (get_sim_pool, shutdown_sim_pool,
+                               _pair_template, _pool_failure,
+                               _resolve_start_method)
 from ..core.validator import CRITERIA, DEFAULT_CRITERION
 from ..hdl.context import SimContext, current_context, use_context
 from ..hdl.errors import HdlError
@@ -167,18 +167,17 @@ def _run_group(group: list[tuple]) -> list[TaskRun]:
 def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
     """Warm this process's caches with each task's golden artifacts.
 
-    For every task id the golden RTL is parsed and elaborated into a
-    design template, and the canonical (golden driver, golden RTL)
-    pairing is elaborated too — the sources every validator matrix and
-    AutoEval sweep of that task re-simulates.  Each task warms its own
-    cache scope.  Returns the number of tasks warmed.
+    For every task id the canonical (golden driver, golden RTL) pairing
+    is parsed, elaborated and compiled into a pair template — the design
+    every validator matrix and AutoEval sweep of that task re-simulates.
+    Each task warms its own cache scope.  Returns the number of tasks
+    warmed.
 
-    Campaigns call this before creating a parallel pool (when the
-    resolved context's ``warm_start`` flag is set), so pool creation
-    snapshots a warm parent and spawn-started workers import the
-    templates instead of rebuilding them per item; fork-started workers
-    simply inherit them.  A task whose golden artifacts fail to build
-    is skipped — the campaign item itself will surface the error.
+    Campaigns with a store call this before their first item and save
+    the result as the store's snapshot, so a resumed run or a shard
+    worker starts with the goldens built.  A task whose golden artifacts
+    fail to build is skipped — the campaign item itself will surface
+    the error.
     """
     from ..codegen import render_driver
 
@@ -189,7 +188,6 @@ def prewarm_campaign_caches(task_ids: Iterable[str]) -> int:
                 task = get_task(task_id)
                 golden = task.golden_rtl()
                 driver = render_driver(task, task.canonical_scenarios())
-                design_template(golden, "top_module")
                 _pair_template(golden, driver, "tb")
             except (KeyError, HdlError):  # pragma: no cover - defensive
                 continue
@@ -291,23 +289,17 @@ def _resolve_store(context: SimContext,
 
 
 def _prewarm_and_snapshot(context: SimContext, task_ids,
-                          store: CampaignStore | None) -> None:
-    """Pre-warm this process's caches (when the context's ``warm_start``
-    flag is set) and save them as ``store``'s warm-boot snapshot (when
-    there is a store).
+                          store: CampaignStore) -> None:
+    """Pre-warm this process's caches and save them as ``store``'s
+    warm-boot snapshot.
 
-    Pre-warming before a pool exists lets pool creation ship (spawn) or
-    fork the warm state to its workers instead of every worker
-    rebuilding the same golden templates per item.  Saved right after
-    the pre-warm, before any item runs, the snapshot carries only the
-    goldens — small to load, everything a resumed run can reuse — and
-    a campaign killed mid-flight still resumes warm.
+    Saved right after the pre-warm, before any item runs, the snapshot
+    carries only the goldens — small to load, everything a resumed run
+    can reuse — and a campaign killed mid-flight still resumes warm.
     """
     with use_context(context):
-        if context.warm_start:
-            prewarm_campaign_caches(task_ids)
-        if store is not None:
-            store.save_snapshot(caches.export_snapshot())
+        prewarm_campaign_caches(task_ids)
+        store.save_snapshot(caches.export_snapshot())
 
 
 def run_campaign(config: CampaignConfig, progress=None, *,
@@ -321,12 +313,12 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     campaigns — and interleaved batch simulation calls — reuse the same
     worker processes and their warm caches instead of paying a pool
     spin-up per run.  Every work item carries the campaign's resolved
-    :class:`SimContext`; its ``start_method`` / ``warm_start`` knobs
-    select how the pool spawns workers and whether the campaign
-    pre-warms them (see :func:`prewarm_campaign_caches`).  Live-backend
-    items are I/O-bound and their clients cannot cross a process
-    boundary, so ``n_jobs > 1`` runs them on threads instead; wire
-    concurrency stays bounded by the backends' global in-flight cap.
+    :class:`SimContext`; its ``start_method`` selects how the pool
+    starts workers, and each worker builds what its items need.
+    Live-backend items are I/O-bound and their clients cannot cross a
+    process boundary, so ``n_jobs > 1`` runs them on threads instead;
+    wire concurrency stays bounded by the backends' global in-flight
+    cap.
 
     Dispatch is task-affine: the outstanding items are grouped by task
     (:func:`_task_groups`) and each group is one unit of pool or thread
@@ -344,7 +336,9 @@ def run_campaign(config: CampaignConfig, progress=None, *,
     context's ``store_dir`` / ``REPRO_STORE_DIR``), every completed item
     is persisted as soon as its result reaches this process — a killed
     campaign loses at most the work in flight (a serial campaign's
-    current item; each pool worker's current task group).
+    current item; each pool worker's current task group).  Before its
+    first outstanding item the campaign pre-warms the goldens and saves
+    them as the store's snapshot (see :func:`prewarm_campaign_caches`).
     ``resume=True`` additionally boots the caches from the store's
     co-located snapshot (if one was saved) and answers already-stored
     items without resimulating them; hits are reported through
@@ -381,7 +375,7 @@ def run_campaign(config: CampaignConfig, progress=None, *,
             if snapshot is not None:
                 with use_context(context):
                     caches.import_snapshot(snapshot)
-        if context.warm_start and (store is not None or pooled):
+        if store is not None:
             _prewarm_and_snapshot(context, config.task_ids, store)
 
     def record(index: int, run: TaskRun) -> None:
@@ -397,8 +391,7 @@ def run_campaign(config: CampaignConfig, progress=None, *,
         if threaded:
             return chain.from_iterable(threads.map(_run_group, groups))
         if pooled:
-            pool = get_sim_pool(n_jobs, start_method=context.start_method,
-                                warm_start=context.warm_start)
+            pool = get_sim_pool(n_jobs, start_method=context.start_method)
             return chain.from_iterable(pool.map(_run_group, groups))
         return map(_worker, chain.from_iterable(groups))
 
@@ -445,8 +438,7 @@ def run_sharded_campaign(config: CampaignConfig, shards: int,
     """Fan the campaign's task list out over ``shards`` worker
     processes sharing one persistent store.
 
-    The coordinator pre-warms its caches (when the resolved context's
-    ``warm_start`` flag is set) and always saves a
+    The coordinator pre-warms its caches and saves a
     :class:`~repro.core.caches.CacheSnapshot` into the store — the same
     step :func:`run_campaign` takes before its first item — then
     round-robins task slices to fresh worker processes; each worker

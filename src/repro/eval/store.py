@@ -65,9 +65,9 @@ _SNAPSHOT_MAGIC = b"repro-cachesnap-1\n"
 
 #: SimContext fields that can change a campaign item's *result* (and
 #: therefore enter the store key).  Deliberately excludes operational
-#: knobs — ``jobs``, ``start_method``, ``warm_start``, cache
-#: capacities, ``trace_dir``, ``store_dir``, ``llm_fixture_dir`` — so
-#: rerunning with different parallelism or paths still reuses entries.
+#: knobs — ``jobs``, ``start_method``, cache capacities,
+#: ``trace_dir``, ``store_dir``, ``llm_fixture_dir`` — so rerunning
+#: with different parallelism or paths still reuses entries.
 CONTEXT_RESULT_FIELDS = ("engine", "lexer", "mutant_engine", "max_time",
                          "max_stmts", "llm_backend", "llm_model",
                          "llm_base_url")

@@ -101,8 +101,8 @@ _stats = {"programs_compiled": 0, "programs_shared": 0, "specs_bound": 0,
 # imports *re-derive* them by re-elaborating the snapshot's template
 # signatures locally.  This flag marks that phase so the stats separate
 # "compiled because a request needed it" from "compiled ahead of time
-# by a warm-start import" — the latter is the work a warmed worker no
-# longer pays at first-batch time.
+# by a warm-start import" — the latter is the work a process booted
+# from a snapshot no longer pays on its first item.
 _warm_start_depth = 0
 
 

@@ -5,11 +5,11 @@ Every execution knob lives in one immutable value object:
 :class:`SimContext`
     a frozen dataclass carrying the engine, the lexer, the mutant-sweep
     strategy, the simulation limits (``max_time`` / ``max_stmts``), the
-    worker-pool configuration (job count, start method, warm-start
-    flag, template-cache capacity) and the trace, store and LLM-backend
-    settings.  Being immutable and made of primitives it is hashable,
-    comparable and picklable — campaign work items ship the context to
-    pool workers as plain data.
+    worker-pool configuration (job count, start method, template-cache
+    capacity) and the trace, store and LLM-backend settings.  Being
+    immutable and made of primitives it is hashable, comparable and
+    picklable — campaign work items ship the context to pool workers as
+    plain data.
 
 :func:`current_context`
     the single resolution point.  Selection follows a strict order:
@@ -134,7 +134,6 @@ class SimContext:
     max_stmts: int = DEFAULT_MAX_STMTS
     jobs: int = DEFAULT_JOBS
     start_method: str = START_METHOD_DEFAULT
-    warm_start: bool = True
     template_cache_size: int = DEFAULT_TEMPLATE_CACHE_SIZE
     template_cache_budget: int = DEFAULT_TEMPLATE_CACHE_BUDGET
     #: Directory correction-session traces are recorded into ("" = trace
@@ -142,7 +141,7 @@ class SimContext:
     #: pool workers resolve the same sink their parent configured.
     trace_dir: str = ""
     #: Directory of the persistent campaign artifact store ("" = no
-    #: store).  Campaigns write completed results (and a warm-start
+    #: store).  Campaigns write completed results (and a warm-boot
     #: cache snapshot) here, and ``--resume`` / shard workers read them
     #: back instead of resimulating (see :mod:`repro.eval.store`).
     #: A plain string, like ``trace_dir``, so contexts stay picklable.
@@ -182,9 +181,6 @@ class SimContext:
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, "
                                  f"got {value!r}")
-        if not isinstance(self.warm_start, bool):
-            raise ValueError(f"warm_start must be a bool, "
-                             f"got {self.warm_start!r}")
         if not isinstance(self.trace_dir, str):
             raise ValueError(f"trace_dir must be a string path "
                              f"('' disables tracing), "
@@ -285,19 +281,6 @@ def _context_from_env(environ=None) -> tuple[SimContext, frozenset]:
             _warn_env(f"REPRO_START_METHOD={start_method!r} is not one "
                       f"of {START_METHODS}; using "
                       f"{START_METHOD_DEFAULT!r}")
-
-    warm = environ.get("REPRO_WARM_START")
-    if warm is not None:
-        lowered = warm.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            overrides["warm_start"] = True
-            seeded.add("warm_start")
-        elif lowered in ("0", "false", "no", "off"):
-            overrides["warm_start"] = False
-            seeded.add("warm_start")
-        else:
-            _warn_env(f"REPRO_WARM_START={warm!r} is not a boolean "
-                      f"(1/0/true/false); using the default")
 
     trace_dir = environ.get("REPRO_TRACE_DIR")
     if trace_dir is not None:
@@ -415,8 +398,8 @@ def use_context(context: SimContext | None = None, **overrides):
 # ----------------------------------------------------------------------
 #: SimContext fields a *request* may override (service ``X-Repro-*``
 #: headers / body ``"context"`` objects).  Deliberately excludes the
-#: operator-owned knobs — ``jobs``, ``start_method``, ``warm_start``,
-#: cache capacities, ``trace_dir`` — which shape shared process state a
+#: operator-owned knobs — ``jobs``, ``start_method``, cache
+#: capacities, ``trace_dir`` — which shape shared process state a
 #: single request must not reconfigure.
 REQUEST_CONTEXT_FIELDS = ("engine", "lexer", "mutant_engine",
                           "max_time", "max_stmts")

@@ -1,7 +1,7 @@
 """``repro.service`` — the asyncio testbench-generation service.
 
-The context / registry / warm-pool stack (``SimContext`` resolution,
-per-task cache scopes, spawn-safe warm workers) was shaped for a
+The context / registry / pool stack (``SimContext`` resolution,
+per-task cache scopes, a persistent worker pool) was shaped for a
 long-lived server; this package is that server.  A handwritten
 HTTP/1.1 layer (:mod:`repro.service.protocol`, stdlib-only) fronts a
 bounded admission queue with explicit backpressure, a cross-request

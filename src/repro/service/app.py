@@ -18,8 +18,8 @@ One :class:`TestbenchService` owns four moving parts:
 - a **thread executor** running the batches (each batch may further fan
   out across the persistent sim *process* pool, per the context's
   ``jobs``).  A batch that trips over a broken pool retries once after
-  :func:`~repro.core.simulation.shutdown_sim_pool` — the pool heals
-  warm (see PR 5) and no admitted request is dropped.
+  :func:`~repro.core.simulation.shutdown_sim_pool` — the next batch
+  recreates the pool and no admitted request is dropped.
 
 Per-request configuration resolves through
 :func:`repro.hdl.context.context_from_request`: ``X-Repro-*`` headers
@@ -89,9 +89,8 @@ def _run_simulate_batch(key, duts: list[str]) -> list:
             return batch(driver_src, duts, context=context)
         except BrokenProcessPool:
             # _pool_map already healed once; a second break lands here.
-            # Recreate once more (warm, from this process's caches) —
-            # persistent failure then surfaces as a 500 on this batch
-            # only.
+            # Recreate once more — persistent failure then surfaces as
+            # a 500 on this batch only.
             shutdown_sim_pool(wait=False)
             return batch(driver_src, duts, context=context)
 

@@ -85,15 +85,15 @@ class TestSimContext:
         assert pickle.loads(pickle.dumps(context)) == context
 
     def test_warm_start_knobs(self):
+        # Pool knobs validate; pools no longer have a warm-start knob.
         context = SimContext()
         assert context.start_method == "default"
-        assert context.warm_start is True
         assert context.template_cache_size == 256
         assert context.evolve(start_method="spawn").start_method == "spawn"
         with pytest.raises(ValueError):
             SimContext(start_method="teleport")
-        with pytest.raises(ValueError):
-            SimContext(warm_start="yes")
+        with pytest.raises(TypeError):
+            SimContext(warm_start=True)
         with pytest.raises(ValueError):
             SimContext(template_cache_size=0)
 
@@ -202,6 +202,7 @@ class TestEnvSeeding:
         assert "jobs" in seeded
 
     def test_warm_start_knobs_seed(self):
+        # REPRO_WARM_START is ignored: it seeds nothing.
         context, seeded = _context_from_env({
             "REPRO_START_METHOD": "spawn",
             "REPRO_WARM_START": "0",
@@ -209,11 +210,10 @@ class TestEnvSeeding:
             "REPRO_TEMPLATE_CACHE_BUDGET": "512",
         })
         assert context.start_method == "spawn"
-        assert context.warm_start is False
         assert context.template_cache_size == 64
         assert context.template_cache_budget == 512
-        assert {"start_method", "warm_start", "template_cache_size",
-                "template_cache_budget"} <= seeded
+        assert seeded == {"start_method", "template_cache_size",
+                          "template_cache_budget"}
 
     def test_trace_dir_seeds(self, tmp_path):
         context, seeded = _context_from_env(
@@ -309,7 +309,7 @@ class TestEnvSeeding:
         assert not seeded
         err = capsys.readouterr().err
         assert "REPRO_START_METHOD" in err
-        assert "REPRO_WARM_START" in err
+        assert "REPRO_WARM_START" not in err  # ignored, not warned about
         assert "REPRO_TEMPLATE_CACHE_SIZE" in err
         assert "REPRO_TEMPLATE_CACHE_BUDGET" in err
 

@@ -1,5 +1,5 @@
 """Persistent simulation worker pool: reuse, growth, clean shutdown,
-healing, explicit start methods and warm-started workers."""
+healing and explicit start methods."""
 
 import multiprocessing
 import os
@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.codegen import render_driver
-from repro.core.caches import caches
 from repro.core.simulation import (_pool_map, get_sim_pool,
                                    run_driver_batch, shutdown_sim_pool,
                                    sim_pool_info)
@@ -164,42 +163,15 @@ class TestNestedPools:
 
 
 class TestStartMethodAndWarmStart:
+    """Start methods select how workers start; no start method ships
+    the parent's caches to a worker (pools do not warm-start)."""
+
     def test_default_pool_reports_platform_method(self):
         shutdown_sim_pool()
-        driver, duts = _driver_and_duts()
-        with use_context(jobs=1):
-            run_driver_batch(driver, duts)  # warm the parent
         get_sim_pool(1)
         info = sim_pool_info()
         assert info["start_method"] == multiprocessing.get_start_method()
-        # On fork platforms workers inherit warm caches through memory.
-        if info["start_method"] == "fork":
-            assert info["warm"] == "inherited"
-        shutdown_sim_pool()
-
-    def test_cold_created_pool_rewarmed_once_parent_warms(self):
-        """A pool created before anything was cached must be recreated
-        (warm) the first time warmth is requested on a warm parent —
-        otherwise campaigns that pre-warm after an early batch would
-        keep cold workers forever."""
-        driver, duts = _driver_and_duts()
-        caches.clear()
-        shutdown_sim_pool()
-        with use_context(start_method="spawn"):
-            cold_pool = get_sim_pool(2)
-            assert sim_pool_info()["warm"] == "cold"
-            # Parent warms up after the pool exists (e.g. a serial run
-            # or a campaign pre-warm)...
-            with use_context(jobs=1):
-                run_driver_batch(driver, duts)
-            # ...so the next warm-requesting lookup recreates the pool
-            # with the snapshot on board — exactly once.
-            warm_pool = get_sim_pool(2)
-            assert warm_pool is not cold_pool
-            info = sim_pool_info()
-            assert info["warm"] == "snapshot"
-            assert info["warm_layers"]["pair"] >= 2
-            assert get_sim_pool(2) is warm_pool  # no churn afterwards
+        assert "warm" not in info and "warm_layers" not in info
         shutdown_sim_pool()
 
     def test_unavailable_start_method_raises(self, monkeypatch):
@@ -213,7 +185,7 @@ class TestStartMethodAndWarmStart:
     def test_start_method_change_recreates_pool(self):
         shutdown_sim_pool()
         pool_default = get_sim_pool(2)
-        with use_context(start_method="spawn", warm_start=False):
+        with use_context(start_method="spawn"):
             pool_spawn = get_sim_pool(2)
             assert pool_spawn is not pool_default
             assert sim_pool_info()["start_method"] == "spawn"
@@ -233,41 +205,6 @@ class TestStartMethodAndWarmStart:
         assert [r.status for r in spawned] == [r.status for r in serial]
         assert [[rec.values for rec in r.records] for r in spawned] \
             == [[rec.values for rec in r.records] for r in serial]
-        shutdown_sim_pool()
-
-    def test_spawn_pool_ships_snapshot_when_parent_is_warm(self):
-        driver, duts = _driver_and_duts()
-        shutdown_sim_pool()
-        # Warm the parent first so there is something to snapshot.
-        with use_context(jobs=1):
-            run_driver_batch(driver, duts)
-        with use_context(start_method="spawn"):
-            get_sim_pool(2)
-            info = sim_pool_info()
-        assert info["warm"] == "snapshot"
-        assert info["warm_layers"]["pair"] >= 2
-        assert info["warm_layers"]["parse"] >= 3
-        shutdown_sim_pool()
-
-    def test_warm_start_off_means_cold_spawn_pool(self):
-        driver, duts = _driver_and_duts()
-        shutdown_sim_pool()
-        with use_context(jobs=1):
-            run_driver_batch(driver, duts)
-        with use_context(start_method="spawn", warm_start=False, jobs=2):
-            runs = run_driver_batch(driver, duts)
-            info = sim_pool_info()
-        assert all(run.ok for run in runs)
-        assert info["warm"] == "cold" and info["warm_layers"] == {}
-        shutdown_sim_pool()
-
-    def test_cold_parent_spawn_pool_reports_cold(self):
-        caches.clear()
-        shutdown_sim_pool()
-        with use_context(start_method="spawn"):
-            get_sim_pool(1)
-            info = sim_pool_info()
-        assert info["warm"] == "cold"
         shutdown_sim_pool()
 
 

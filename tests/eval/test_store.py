@@ -59,7 +59,7 @@ class TestKeying:
         base = SimContext()
         for evolved in (base.evolve(jobs=8),
                         base.evolve(start_method="spawn"),
-                        base.evolve(warm_start=False),
+                        base.evolve(llm_fixture_dir="/tmp/f"),
                         base.evolve(template_cache_size=7),
                         base.evolve(trace_dir="/tmp/t"),
                         base.evolve(store_dir="/tmp/s")):
